@@ -66,15 +66,14 @@ from .position import (
     Measure,
     OverlapResult,
     coherent_wavefunction,
+    grid_for,
     ladder_action_fd,
     orthonormality_gram,
     overlap_quadrature,
     pseudoharmonic_ladder_fd,
-    pseudoharmonic_radial,
     pseudoharmonic_radials,
     radial_grid,
     sample_eigenfunction,
-    tpt_eigenfunction,
     tpt_eigenfunctions,
     tpt_grid,
     tpt_ground,

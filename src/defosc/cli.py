@@ -19,6 +19,7 @@ configuration; 3 truncation failure; 4 quadrature or fitting failure;
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -153,8 +154,12 @@ class RunConfig:
             raise ConfigError("lambdas must be a nonempty list")
         try:
             self.model_params()
-        except DomainError as exc:
+            amplitudes = {"alpha": self.alpha, "zeta": self.zeta}
+        except (DomainError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        for name, value in amplitudes.items():
+            if value is not None and not cmath.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
     def model_params(self) -> models.ModelParams:
         s = self.settings
@@ -210,10 +215,6 @@ def _check(check_id: str, parameters: dict, deviation: float, tolerance: float,
     }
 
 
-def _deformation(p: models.ModelParams) -> models.DeformationFunction:
-    return models.deformation_for(p)
-
-
 def _energies(p: models.ModelParams, n: np.ndarray) -> np.ndarray:
     if p.model is models.Model.TPT:
         return np.asarray(models.tpt_energy(n, p))
@@ -229,7 +230,7 @@ def _energies(p: models.ModelParams, n: np.ndarray) -> np.ndarray:
 def _task_spectrum(cfg: RunConfig):
     p = cfg.model_params()
     n_levels = cfg.settings["cutoff"]
-    f = _deformation(p)
+    f = models.deformation_for(p)
     n = np.arange(n_levels, dtype=float)
     energies = _energies(p, n)
     if p.model is models.Model.PSEUDOHARMONIC:
@@ -253,48 +254,22 @@ def _rel_dev(computed: np.ndarray, target: np.ndarray) -> float:
 
 
 def _commutator_suite(p: models.ModelParams, cutoff: int) -> list[tuple[str, float, list[int]]]:
-    f = _deformation(p)
+    # For f^2(n) = slope*n + intercept: [A, A^dag] = C with
+    # C = diag(2*slope*n + slope + intercept), [A, N] = A and [A^dag, N] = -A^dag.
+    f = models.deformation_for(p)
     lowering, raising = fock.ladder_matrices(f, cutoff)
     num = fock.number_matrix(cutoff)
-    eye = fock.identity_matrix(cutoff)
-    out = []
-
-    def subblock(x: np.ndarray) -> np.ndarray:
-        return x[: cutoff - 1, : cutoff - 1]
-
-    if p.model is models.Model.TPT:
-        weight = eye + (1.0 / p.lam) * num  # 1 + n/lam
-        c1 = fock.commutator(lowering, raising).entries.diagonal()
-        target = (1.0 + np.arange(cutoff) / p.lam).astype(complex)
-        out.append(("commutator-lower-raise", _rel_dev(c1[:-1], target[:-1]), [cutoff - 1]))
-        d2 = fock.commutator(lowering, weight).entries
-        out.append(("commutator-lower-weight",
-                    _rel_dev(subblock(d2), subblock(lowering.entries) / p.lam), [cutoff - 1]))
-        d3 = fock.commutator(raising, weight).entries
-        out.append(("commutator-raise-weight",
-                    _rel_dev(subblock(d3), -subblock(raising.entries) / p.lam), [cutoff - 1]))
-    elif p.model is models.Model.PSEUDOHARMONIC:
-        weight = num + (p.s + 0.5) * eye  # n + s + 1/2
-        c1 = fock.commutator(lowering, raising).entries.diagonal()
-        target = (2.0 * (np.arange(cutoff) + p.s + 0.5)).astype(complex)
-        out.append(("commutator-lower-raise", _rel_dev(c1[:-1], target[:-1]), [cutoff - 1]))
-        d2 = fock.commutator(weight, lowering).entries
-        out.append(("commutator-weight-lower",
-                    _rel_dev(subblock(d2), -subblock(lowering.entries)), [cutoff - 1]))
-        d3 = fock.commutator(weight, raising).entries
-        out.append(("commutator-weight-raise",
-                    _rel_dev(subblock(d3), subblock(raising.entries)), [cutoff - 1]))
-    else:
-        c1 = fock.commutator(lowering, raising).entries.diagonal()
-        out.append(("commutator-lower-raise", _rel_dev(c1[:-1], np.ones(cutoff - 1, dtype=complex)),
-                    [cutoff - 1]))
-        d2 = fock.commutator(lowering, num).entries
-        out.append(("commutator-lower-number",
-                    _rel_dev(subblock(d2), subblock(lowering.entries)), [cutoff - 1]))
-        d3 = fock.commutator(raising, num).entries
-        out.append(("commutator-raise-number",
-                    _rel_dev(subblock(d3), -subblock(raising.entries)), [cutoff - 1]))
-    return out
+    inner = np.s_[: cutoff - 1, : cutoff - 1]
+    n = np.arange(cutoff - 1, dtype=float)
+    c1 = fock.commutator(lowering, raising).entries.diagonal()[:-1]
+    d2 = fock.commutator(lowering, num).entries[inner]
+    d3 = fock.commutator(raising, num).entries[inner]
+    excluded = [cutoff - 1]
+    return [
+        ("commutator-lower-raise", _rel_dev(c1, 2.0 * f.slope * n + f.slope + f.intercept), excluded),
+        ("commutator-lower-number", _rel_dev(d2, lowering.entries[inner]), excluded),
+        ("commutator-raise-number", _rel_dev(d3, -raising.entries[inner]), excluded),
+    ]
 
 
 def _task_commutators(cfg: RunConfig):
@@ -312,7 +287,7 @@ def _task_commutators(cfg: RunConfig):
 
 def _build_state(cfg: RunConfig) -> cs.CoherentStateResult:
     p = cfg.model_params()
-    f = _deformation(p)
+    f = models.deformation_for(p)
     method = cfg.settings["method"]
     cutoff = cfg.settings["cutoff"]
     tail_tol = cfg.settings["tail_tol"]
@@ -320,12 +295,13 @@ def _build_state(cfg: RunConfig) -> cs.CoherentStateResult:
         return cs.annihilation_eigenstate(f, cfg.alpha, cutoff, tail_tol=tail_tol)
     if method == "annihilation-closed-form":
         vec = cs.closed_form_bg_coefficients(p, cfg.alpha, cutoff)
+        # the raw family has c_0 = 1, so the normalized c_0 is 1/||raw||
         return cs.CoherentStateResult(vec, cs.Method.ANNIHILATION_EIGENSTATE, cfg.alpha,
-                                      1.0, vec.tail_mass, p)
+                                      float(abs(vec.coeffs[0])), vec.tail_mass, p)
     if method == "displacement":
         zeta = cfg.zeta
         if zeta is None:
-            zeta = cs.zeta_from_alpha(cfg.alpha, _deformation(p).su11_scale / 2.0)
+            zeta = cs.zeta_from_alpha(cfg.alpha, f)
         return cs.displacement_state_closed_form(p, zeta, cutoff)
     if method == "displacement-direct":
         return cs.displacement_state_direct(f, cfg.alpha, cutoff, tail_tol=max(tail_tol, 1e-12))
@@ -360,16 +336,14 @@ def _task_coherent(cfg: RunConfig):
 
 def _task_compare(cfg: RunConfig):
     p = cfg.model_params()
-    if p.model is models.Model.HARMONIC:
-        raise DomainError("the compare task needs the TPT or pseudoharmonic model")
-    f = _deformation(p)
+    f = models.deformation_for(p)
     cutoff = cfg.settings["cutoff"]
     tol = cfg.settings["check_tol"]
     alpha = cfg.alpha
+    zeta = cs.zeta_from_alpha(alpha, f)
     bg_rec = cs.annihilation_eigenstate(f, alpha, cutoff, tail_tol=cfg.settings["tail_tol"],
                                         max_cutoff=cutoff).state
     bg_closed = cs.closed_form_bg_coefficients(p, alpha, cutoff)
-    zeta = cs.zeta_from_alpha(alpha, f.su11_scale / 2.0)
     disp_closed = cs.displacement_state_closed_form(p, zeta, cutoff).state
     disp_formula = cs.deformed_displacement_coefficients(f, zeta, cutoff)
     disp_formula_vec = fock.FockVector(disp_formula).normalized()
@@ -393,16 +367,14 @@ def _task_compare(cfg: RunConfig):
 
 def _task_displacement_check(cfg: RunConfig):
     p = cfg.model_params()
-    if p.model is models.Model.HARMONIC:
-        raise DomainError("the displacement-check task needs the TPT or pseudoharmonic model")
-    f = _deformation(p)
+    f = models.deformation_for(p)
     cutoff = cfg.settings["cutoff"]
     tol = cfg.settings["check_tol"]
     alpha = cfg.alpha
+    zeta = cs.zeta_from_alpha(alpha, f)
     tail_tol = max(cfg.settings["tail_tol"], 1e-12)
     direct = cs.displacement_state_direct(f, alpha, cutoff, tail_tol=tail_tol).state
     factored = cs.displacement_state_factored(f, alpha, cutoff, tail_tol=tail_tol).state
-    zeta = cs.zeta_from_alpha(alpha, f.su11_scale / 2.0)
     closed = cs.displacement_state_closed_form(p, zeta, cutoff).state
     dev_fact = float(np.max(np.abs(direct.coeffs - factored.coeffs)))
     dev_closed = float(np.max(np.abs(direct.coeffs - closed.coeffs)))
@@ -426,14 +398,9 @@ def _task_wavefunction(cfg: RunConfig):
     p = cfg.model_params()
     result = _build_state(cfg)
     state = result.state
-    if p.model is models.Model.TPT:
-        grid = position.tpt_grid(p, cfg.settings["grid_nodes"])
-    elif p.model is models.Model.PSEUDOHARMONIC:
-        occupied = np.nonzero(np.abs(state.coeffs) ** 2 > 1e-16)[0]
-        n_eff = int(occupied[-1]) if occupied.size else 0
-        grid = position.radial_grid(p.s, n_max=n_eff, order=cfg.settings["grid_nodes"])
-    else:
-        raise DomainError("the wavefunction task needs the TPT or pseudoharmonic model")
+    occupied = np.nonzero(np.abs(state.coeffs) ** 2 > 1e-16)[0]
+    n_eff = int(occupied[-1]) if occupied.size else 0
+    grid = position.grid_for(p, cfg.settings["grid_nodes"], n_eff, tail_tol=1e-12)
     gf = position.coherent_wavefunction(state, grid, p)
     norm, err = position.overlap_quadrature(gf, gf)
     norm = abs(norm)

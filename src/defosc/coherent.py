@@ -2,11 +2,11 @@
 
 Annihilation-eigenstate route: solve A |alpha> = alpha |alpha> on the
 number basis, which gives the one-step recurrence
-``c_n f(n) sqrt(n) = alpha c_{n-1}``.  For the TPT deformation the
-normalized coefficients have the closed form
-``C0 alpha^n sqrt((2 lam)^n Gamma(2 lam) / (n! Gamma(2 lam + n)))``;
-for the pseudoharmonic one,
-``C0 alpha^n sqrt(Gamma(2 s + 1) / (n! Gamma(2 s + n + 1)))``.
+``c_n f(n) sqrt(n) = alpha c_{n-1}``.  For an affine deformation
+``f^2(n) = (n + c)/d`` the normalized coefficients have the closed form
+``C0 alpha^n sqrt(d^n Gamma(1 + c) / (n! Gamma(n + 1 + c)))``: with
+``d = 2 lam, c = 2 lam - 1`` for TPT and ``d = 1, c = 2 s`` for the
+pseudoharmonic oscillator.
 
 Displacement route: apply exp(alpha A^dag - alpha* A) to the vacuum.
 For affine deformations the operators close an su(1,1) algebra, so the
@@ -41,7 +41,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError, SizeMismatchError, TruncationError
 from .fock import FockVector, OperatorMatrix, apply, ladder_matrices, matrix_exponential
-from .models import DeformationFunction, Model, ModelParams
+from .models import DeformationFunction, ModelParams, deformation_for
 
 __all__ = [
     "Method",
@@ -86,6 +86,7 @@ class Method(Enum):
     ANNIHILATION_EIGENSTATE = "annihilation-eigenstate"
     DISPLACEMENT_FACTORED = "displacement-factored"
     DISPLACEMENT_DIRECT = "displacement-direct"
+    DISPLACEMENT_CLOSED_FORM = "displacement-closed-form"
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,13 @@ class CoherentStateResult:
     normalization_constant: float
     tail_mass: float
     model: Optional[ModelParams] = None
+
+
+def _amplitude(alpha) -> complex:
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"amplitude must be finite, got {alpha!r}")
+    return alpha
 
 
 def _coefficients_from_log(logmag: np.ndarray, phase_step: float) -> tuple[np.ndarray, float]:
@@ -130,7 +138,7 @@ def annihilation_eigenstate(
     if tail_tol <= 0:
         raise DomainError(f"tail_tol must be positive, got {tail_tol}")
     limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
-    alpha = complex(alpha)
+    alpha = _amplitude(alpha)
     n_kept = cutoff
     while True:
         f.validate_positive(n_kept)
@@ -168,7 +176,7 @@ def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> FockVect
         raise DomainError(f"need lam > 1/2, got {lam}")
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    alpha = complex(alpha)
+    alpha = _amplitude(alpha)
     if alpha == 0:
         return FockVector.vacuum(cutoff)
     n = np.arange(1, cutoff, dtype=float)
@@ -181,44 +189,38 @@ def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> FockVect
 def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> FockVector:
     """Annihilation-eigenstate coefficients from their gamma-function closed form.
 
-    TPT:            c_n = C0 alpha^n sqrt((2 lam)^n Gamma(2 lam) / (n! Gamma(2 lam + n)))
-    pseudoharmonic: c_n = C0 alpha^n sqrt(Gamma(2 s + 1) / (n! Gamma(2 s + n + 1)))
-
+    For f^2(n) = (n + c)/d, with d = 1/slope and c = intercept/slope,
+    c_n = C0 alpha^n sqrt(d^n Gamma(1 + c) / (n! Gamma(n + 1 + c))).
     Evaluated through log-gamma, then normalized numerically.
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    alpha = complex(alpha)
+    f = deformation_for(p)
+    d = f.su11_scale
+    c = f.intercept / f.slope
+    alpha = _amplitude(alpha)
     if alpha == 0:
         return FockVector.vacuum(cutoff)
     n = np.arange(cutoff, dtype=float)
-    if p.model is Model.TPT:
-        two_lam = 2.0 * p.lam
-        half_log = n * math.log(two_lam) + gammaln(two_lam) - gammaln(n + 1.0) - gammaln(two_lam + n)
-    elif p.model is Model.PSEUDOHARMONIC:
-        two_s = 2.0 * p.s
-        half_log = gammaln(two_s + 1.0) - gammaln(n + 1.0) - gammaln(two_s + n + 1.0)
-    else:
-        raise DomainError("closed-form coefficients exist for the TPT and pseudoharmonic models only")
+    half_log = n * math.log(d) + gammaln(1.0 + c) - gammaln(n + 1.0) - gammaln(n + 1.0 + c)
     logmag = n * math.log(abs(alpha)) + 0.5 * half_log
     coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
     return FockVector(coeffs, tail_mass=float(abs(coeffs[-1]) ** 2))
 
 
-def zeta_from_alpha(alpha: complex, lambda_eff: float) -> complex:
+def zeta_from_alpha(alpha: complex, f: DeformationFunction) -> complex:
     """Map the displacement amplitude to the unit-disk parameter.
 
-    zeta = e^{i phi} tanh(|alpha| / sqrt(2 lambda_eff)) with
-    alpha = |alpha| e^{i phi}.  lambda_eff is lam for the TPT model and
-    1/2 for the pseudoharmonic one (level scale d = 2 lambda_eff).
+    zeta = e^{i phi} tanh(|alpha| / sqrt(d)) with alpha = |alpha| e^{i phi}
+    and d the su(1,1) level scale of the deformation (2 lam for TPT, 1 for
+    the pseudoharmonic oscillator).
     """
-    if lambda_eff <= 0:
-        raise DomainError(f"lambda_eff must be positive, got {lambda_eff}")
-    alpha = complex(alpha)
+    d = f.su11_scale
+    alpha = _amplitude(alpha)
     r = abs(alpha)
     if r == 0:
         return 0j
-    zeta = (alpha / r) * math.tanh(r / math.sqrt(2.0 * lambda_eff))
+    zeta = (alpha / r) * math.tanh(r / math.sqrt(d))
     # tanh saturates to 1.0 in floating point for very large |alpha|; keep
     # the result strictly inside the unit disk
     while abs(zeta) >= 1.0:
@@ -237,33 +239,24 @@ def _nb_log_amplitudes(r_index: float, zeta: complex, cutoff: int) -> np.ndarray
     )
 
 
-def _r_index(p: ModelParams) -> float:
-    # Exponent family of the displacement state: 2 lam (TPT), 2 s + 1 (pseudoharmonic).
-    if p.model is Model.TPT:
-        return 2.0 * p.lam
-    if p.model is Model.PSEUDOHARMONIC:
-        return 2.0 * p.s + 1.0
-    raise DomainError("displacement closed form exists for the TPT and pseudoharmonic models only")
-
-
 def displacement_state_closed_form(p: ModelParams, zeta: complex, cutoff: int) -> CoherentStateResult:
     """Displacement coherent state from its closed-form coefficients.
 
     c_n = (1-|zeta|^2)^(r/2) sqrt(Gamma(n + r) / (n! Gamma(r))) zeta^n with
-    r = 2 lam (TPT) or 2 s + 1 (pseudoharmonic).  The infinite family is
-    exactly normalized, so the reported tail mass is
-    1 - sum_{n<cutoff} |c_n|^2; the stored vector is renormalized on the
-    truncation.
+    r = 2k, twice the lowest weight of the deformation: 2 lam (TPT) or
+    2 s + 1 (pseudoharmonic).  The infinite family is exactly normalized,
+    so the reported tail mass is 1 - sum_{n<cutoff} |c_n|^2; the stored
+    vector is renormalized on the truncation.
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
     zeta = complex(zeta)
-    if abs(zeta) >= 1:
+    if not abs(zeta) < 1:
         raise DomainError("displacement parameter outside unit disk")
-    r = _r_index(p)
+    r = 2.0 * deformation_for(p).bargmann_index
     if zeta == 0:
         return CoherentStateResult(
-            FockVector.vacuum(cutoff), Method.DISPLACEMENT_FACTORED, zeta, 1.0, 0.0, p
+            FockVector.vacuum(cutoff), Method.DISPLACEMENT_CLOSED_FORM, zeta, 1.0, 0.0, p
         )
     mags = np.exp(_nb_log_amplitudes(r, zeta, cutoff))
     finite = float(np.sum(mags**2))
@@ -272,7 +265,7 @@ def displacement_state_closed_form(p: ModelParams, zeta: complex, cutoff: int) -
     raw = mags * np.exp(1j * cmath.phase(zeta) * n)
     state = FockVector(raw / math.sqrt(finite), tail_mass=tail)
     c0 = (1.0 - abs(zeta) ** 2) ** (r / 2.0)
-    return CoherentStateResult(state, Method.DISPLACEMENT_FACTORED, zeta, c0, tail, p)
+    return CoherentStateResult(state, Method.DISPLACEMENT_CLOSED_FORM, zeta, c0, tail, p)
 
 
 def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cutoff: int) -> np.ndarray:
@@ -286,7 +279,7 @@ def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cu
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
     zeta = complex(zeta)
-    if abs(zeta) >= 1:
+    if not abs(zeta) < 1:
         raise DomainError("displacement parameter outside unit disk")
     k = f.bargmann_index
     d = f.su11_scale
@@ -308,7 +301,7 @@ def displacement_state_direct(
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    alpha = complex(alpha)
+    alpha = _amplitude(alpha)
     lowering, raising = ladder_matrices(f, cutoff)
     gen = alpha * raising - np.conj(alpha) * lowering
     image = matrix_exponential(gen).entries[:, 0]
@@ -342,7 +335,7 @@ def factored_displacement_matrices(
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
     d = f.su11_scale
     k = f.bargmann_index
-    zeta = zeta_from_alpha(alpha, d / 2.0)
+    zeta = zeta_from_alpha(alpha, f)
     lowering, raising = ladder_matrices(f, cutoff)
     left = matrix_exponential(zeta * math.sqrt(d) * raising)
     n = np.arange(cutoff, dtype=float)
@@ -366,7 +359,7 @@ def displacement_state_factored(
             f"{tail_tol:.1e} at cutoff {cutoff}; increase the cutoff"
         )
     state = FockVector(image.coeffs / norm, tail_mass=tail)
-    zeta = zeta_from_alpha(alpha, f.su11_scale / 2.0)
+    zeta = zeta_from_alpha(alpha, f)
     return CoherentStateResult(state, Method.DISPLACEMENT_FACTORED, zeta, norm, tail, f.params)
 
 
@@ -416,7 +409,7 @@ def glauber_coefficients(alpha: complex, cutoff: int) -> FockVector:
     renormalized on the truncation."""
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    alpha = complex(alpha)
+    alpha = _amplitude(alpha)
     if alpha == 0:
         return FockVector.vacuum(cutoff)
     n = np.arange(cutoff, dtype=float)

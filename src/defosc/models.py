@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class ModelParams:
     omega: float = 0.0
 
     def __post_init__(self):
+        for name in ("lam", "a", "s", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.model is Model.TPT:
             if self.lam <= 0.5:
                 raise DomainError(f"TPT requires lam > 1/2, got {self.lam}")
@@ -97,25 +100,21 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DeformationFunction:
-    """An evaluable deformation ``f^2(n)`` tagged with its model identity.
+    """An affine deformation ``f^2(n) = slope*n + intercept`` tagged with its model.
 
-    ``fsq`` maps a nonnegative integer array to ``f^2(n)``.  For the
-    catalog models ``f^2`` is affine, ``f^2(n) = slope*n + intercept``;
-    the pair is kept so that su(1,1) disentanglement (which needs the
-    closed commutator algebra) can recover the level scale and the
-    lowest-weight index without probing the callable.
+    Every catalog deformation is affine in the number operator, so the pair
+    ``(slope, intercept)`` is the whole deformation; ``params`` records the
+    model it was built for.  The harmonic reference is the ``slope = 0``
+    contraction.
     """
 
     label: str
-    fsq_callable: Callable[[np.ndarray], np.ndarray]
-    affine: Optional[tuple[float, float]] = None  # (slope, intercept)
+    slope: float
+    intercept: float
     params: Optional[ModelParams] = None
 
     def fsq(self, n) -> np.ndarray:
-        return np.asarray(self.fsq_callable(np.asarray(n, dtype=float)), dtype=float)
-
-    def f(self, n) -> np.ndarray:
-        return np.sqrt(self.fsq(n))
+        return self.slope * np.asarray(n, dtype=float) + self.intercept
 
     def validate_positive(self, cutoff: int) -> None:
         """Require f^2(n) > 0 and finite for 1 <= n < cutoff."""
@@ -128,34 +127,32 @@ class DeformationFunction:
                 "must be positive and finite on the truncation range"
             )
 
-    # -- su(1,1) structure of affine deformations -------------------------
+    # -- su(1,1) structure ------------------------------------------------
     #
-    # For f^2(n) = (n + c)/d with d > 0 the operators A, A^dag, and
-    # K0 = n + (c+1)/2 close an su(1,1) algebra: K+ = sqrt(d) A^dag has
-    # matrix elements sqrt((n+1)(n+2k)) with lowest weight k = (c+1)/2.
+    # For f^2(n) = (n + c)/d with d = 1/slope > 0 and c = intercept/slope,
+    # the operators A, A^dag, and K0 = n + (c+1)/2 close an su(1,1)
+    # algebra: K+ = sqrt(d) A^dag has matrix elements sqrt((n+1)(n+2k))
+    # with lowest weight k = (c+1)/2, and [A, A^dag] = 2*slope*K0.
     # TPT: d = 2*lam, k = lam.  Pseudoharmonic: d = 1, k = s + 1/2.
 
-    def _require_su11(self) -> tuple[float, float]:
-        if self.affine is None or self.affine[0] <= 0:
+    def _require_su11(self) -> None:
+        if not self.slope > 0:
             raise DomainError(
                 f"deformation {self.label!r} has no su(1,1) structure "
                 "(f^2 must be affine in n with positive slope)"
             )
-        slope, intercept = self.affine
-        return slope, intercept
 
     @property
     def su11_scale(self) -> float:
-        """d such that f^2(n) = (n + c)/d; equals 2*lam for TPT, 1 for pseudoharmonic."""
-        slope, _ = self._require_su11()
-        return 1.0 / slope
+        """d = 1/slope; equals 2*lam for TPT, 1 for pseudoharmonic."""
+        self._require_su11()
+        return 1.0 / self.slope
 
     @property
     def bargmann_index(self) -> float:
-        """Lowest-weight index k of the su(1,1) realization; lam for TPT, s + 1/2 for pseudoharmonic."""
-        slope, intercept = self._require_su11()
-        d = 1.0 / slope
-        return (intercept * d + 1.0) / 2.0
+        """Lowest-weight index k = (intercept/slope + 1)/2; lam for TPT, s + 1/2 for pseudoharmonic."""
+        self._require_su11()
+        return (self.intercept / self.slope + 1.0) / 2.0
 
 
 def solve_lambda(u0: float, a: float) -> float:
@@ -181,8 +178,8 @@ def tpt_energy(n, p: ModelParams):
 
 def pseudoharmonic_energy(n, s: float):
     """Pseudoharmonic level energy 2*(n + s + 1/2) in units hbar = mu = omega = 1."""
-    if s <= 0:
-        raise DomainError(f"pseudoharmonic requires s > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise DomainError(f"pseudoharmonic requires finite s > 0, got {s}")
     n = np.asarray(n, dtype=float)
     if np.any(n < 0):
         raise DomainError("level index must be nonnegative")
@@ -201,12 +198,10 @@ def tpt_deformation(p: ModelParams) -> DeformationFunction:
     if p.model is not Model.TPT:
         raise DomainError(f"tpt_deformation needs TPT parameters, got {p.model}")
     lam = p.lam
-    slope = 1.0 / (2.0 * lam)
-    intercept = (2.0 * lam - 1.0) / (2.0 * lam)
     return DeformationFunction(
         label=f"tpt(lam={lam!r})",
-        fsq_callable=lambda n: (n + 2.0 * lam - 1.0) / (2.0 * lam),
-        affine=(slope, intercept),
+        slope=1.0 / (2.0 * lam),
+        intercept=(2.0 * lam - 1.0) / (2.0 * lam),
         params=p,
     )
 
@@ -217,12 +212,10 @@ def pseudoharmonic_deformation(s: float) -> DeformationFunction:
     The antisymmetric factorization A A^dag - A^dag A then has diagonal
     2*(n + s + 1/2), matching the spectrum.
     """
-    if s <= 0:
-        raise DomainError(f"pseudoharmonic requires s > 0, got {s}")
     return DeformationFunction(
         label=f"pseudoharmonic(s={s!r})",
-        fsq_callable=lambda n: n + 2.0 * s,
-        affine=(1.0, 2.0 * s),
+        slope=1.0,
+        intercept=2.0 * s,
         params=ModelParams.pseudoharmonic(s),
     )
 
@@ -231,8 +224,8 @@ def harmonic_deformation() -> DeformationFunction:
     """Undeformed reference, f^2(n) = 1 for all n."""
     return DeformationFunction(
         label="harmonic",
-        fsq_callable=lambda n: np.ones_like(np.asarray(n, dtype=float)),
-        affine=(0.0, 1.0),
+        slope=0.0,
+        intercept=1.0,
         params=ModelParams.harmonic(1.0),
     )
 

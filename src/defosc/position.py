@@ -52,10 +52,9 @@ __all__ = [
     "GridFunction",
     "tpt_grid",
     "radial_grid",
+    "grid_for",
     "tpt_ground",
-    "tpt_eigenfunction",
     "tpt_eigenfunctions",
-    "pseudoharmonic_radial",
     "pseudoharmonic_radials",
     "sample_eigenfunction",
     "LadderFit",
@@ -195,6 +194,19 @@ def radial_grid(s: float, n_max: int = 10, order: int = 256, tail_tol: float = 1
     return Grid(nodes=rho, weights=weights, measure=Measure.RADIAL_RHO, tail_bound=bound)
 
 
+def grid_for(p: ModelParams, order: int, n_max: int, tail_tol: float) -> Grid:
+    """Quadrature grid of order ``order`` for the model's own measure.
+
+    The grid integrates products of the first n_max+1 eigenfunctions; for
+    the radial grid ``tail_tol`` bounds the neglected large-rho part.
+    """
+    if p.model is Model.TPT:
+        return tpt_grid(p, order)
+    if p.model is Model.PSEUDOHARMONIC:
+        return radial_grid(p.s, n_max=n_max, order=order, tail_tol=tail_tol)
+    raise DomainError("coordinate-space grids exist for the TPT and pseudoharmonic models only")
+
+
 # ---------------------------------------------------------------------------
 # TPT eigenfunctions
 
@@ -239,12 +251,6 @@ def tpt_eigenfunctions(n_max: int, u, p: ModelParams) -> np.ndarray:
     return psi
 
 
-def tpt_eigenfunction(n: int, u, p: ModelParams):
-    """psi_n(u); scalar in, scalar out."""
-    vals = tpt_eigenfunctions(n, u, p)[n]
-    return float(vals[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else vals
-
-
 # ---------------------------------------------------------------------------
 # Pseudoharmonic radial functions
 
@@ -280,12 +286,6 @@ def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
         log_norm = 0.5 * (math.log(2.0) + gammaln(n + 1.0) - gammaln(n + two_s + 1.0))
         out[n] = math.exp(log_norm) * base * lag[n]
     return out
-
-
-def pseudoharmonic_radial(n: int, s: float, rho):
-    """R_n(rho); scalar in, scalar out."""
-    vals = pseudoharmonic_radials(n, s, rho)[n]
-    return float(vals[0]) if np.isscalar(rho) or np.asarray(rho).ndim == 0 else vals
 
 
 def _family(p: ModelParams) -> Callable[[int, np.ndarray], np.ndarray]:
@@ -450,12 +450,7 @@ def orthonormality_gram(
     order used).
     """
     def build(order: int) -> np.ndarray:
-        if p.model is Model.TPT:
-            grid = tpt_grid(p, order)
-        elif p.model is Model.PSEUDOHARMONIC:
-            grid = radial_grid(p.s, n_max=n_max, order=order, tail_tol=tol)
-        else:
-            raise DomainError("orthonormality applies to the TPT and pseudoharmonic models only")
+        grid = grid_for(p, order, n_max, tol)
         fam = _family(p)(n_max, grid.nodes)
         return (fam * grid.weights) @ fam.T
 

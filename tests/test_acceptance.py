@@ -142,7 +142,7 @@ def test_criterion_3_coefficient_identity():
         by_gamma = closed_form_bg_coefficients(p, alpha, cutoff).coeffs
         worst = max(worst, float(np.max(np.abs(by_deformed - by_ladder))))
         worst = max(worst, float(np.max(np.abs(by_deformed - by_gamma))))
-        zeta = zeta_from_alpha(alpha, lam)
+        zeta = zeta_from_alpha(alpha, f)
         res = displacement_state_closed_form(p, zeta, cutoff)
         raw_gamma = res.state.coeffs * math.sqrt(max(0.0, 1.0 - res.tail_mass))
         raw_deformed = deformed_displacement_coefficients(f, zeta, cutoff)

@@ -3,16 +3,19 @@ import os
 
 import pytest
 
+from defosc import coherent, fock
 from defosc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_TRUNCATION,
+    _commutator_suite,
     emit_csv,
     main,
 )
 from defosc.errors import DomainError
+from defosc.models import ModelParams
 
 
 def read(path):
@@ -78,6 +81,8 @@ class TestConfigErrors:
 
     def test_malformed_param(self, tmp_path):
         assert main(["spectrum", "--param", "novalue", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        for param in ("alpha_re=NaN", "alpha_im=-Infinity", "alpha_re=\"x\"", "zeta_re=NaN"):
+            assert main(["coherent", "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
     def test_bad_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -96,17 +101,34 @@ class TestConfigErrors:
         assert main(["spectrum", "--param", "cutoff=1", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
     def test_inadmissible_lambda(self, tmp_path):
-        assert main(["spectrum", "--param", "lambda=0.4", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        for value in ("0.4", "NaN", "Infinity"):
+            assert main(["spectrum", "--param", f"lambda={value}",
+                         "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
 
 class TestChecksAndStatuses:
-    def test_commutators_pass(self, tmp_path):
+    @pytest.mark.parametrize("model", ["tpt", "pseudoharmonic", "harmonic"])
+    def test_commutators_pass(self, tmp_path, monkeypatch, model):
+        calls = []
+        real = fock.commutator
+
+        def counting(x, y):
+            calls.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(fock, "commutator", counting)
         out = str(tmp_path / "r")
-        assert main(["commutators", "--out", out]) == EXIT_OK
+        assert main(["commutators", "--param", f'model="{model}"', "--out", out]) == EXIT_OK
         report = json.loads(read(os.path.join(out, "report.json")))
         ids = {c["id"] for c in report["checks"]}
-        assert "commutator-lower-raise" in ids
+        assert ids == {"commutator-lower-raise", "commutator-lower-number", "commutator-raise-number"}
         assert all(c["excluded_indices"] == [127] for c in report["checks"])
+        assert len(calls) == 3
+
+    def test_commutator_suite_near_lower_bound(self):
+        suite = _commutator_suite(ModelParams.tpt(0.6), 512)
+        assert len(suite) == 3
+        assert all(dev <= 1e-12 and excluded == [511] for _, dev, excluded in suite)
 
     def test_commutators_harmonic(self, tmp_path):
         # roundoff of sqrt(n)^2 grows like eps*n, so the 1e-14 claim is
@@ -132,11 +154,22 @@ class TestChecksAndStatuses:
         assert code == EXIT_TRUNCATION
         assert "truncation error" in capsys.readouterr().err
 
-    def test_domain_exit_status(self, tmp_path, capsys):
-        # compare task is undefined for the harmonic reference
-        code = main(["compare", "--param", 'model="harmonic"', "--out", str(tmp_path / "r")])
-        assert code == EXIT_DOMAIN
-        assert "error" in capsys.readouterr().err
+    def test_domain_exit_status(self, tmp_path, capsys, monkeypatch):
+        # these tasks are undefined for the harmonic reference; the two that
+        # need the su(1,1) structure reject it before any dense work
+        def no_dense_work(*args):
+            raise AssertionError("dense work before the su(1,1) check")
+
+        for task in ("compare", "displacement-check", "wavefunction"):
+            with monkeypatch.context() as m:
+                if task != "wavefunction":
+                    m.setattr(coherent, "ladder_matrices", no_dense_work)
+                code = main([task, "--param", 'model="harmonic"', "--out", str(tmp_path / "r")])
+            assert code == EXIT_DOMAIN
+            err = capsys.readouterr().err
+            assert "error" in err
+            if task != "wavefunction":
+                assert "su(1,1)" in err
 
 
 class TestCoherentTask:
@@ -162,6 +195,16 @@ class TestCoherentTask:
     def test_all_methods_run(self, tmp_path, method):
         assert main(["coherent", "--param", f'method="{method}"', "--param", "cutoff=64",
                      "--out", str(tmp_path / method)]) == EXIT_OK
+
+    def test_closed_form_metadata(self, tmp_path):
+        reports = {}
+        for method in ("annihilation", "annihilation-closed-form", "displacement"):
+            out = str(tmp_path / method)
+            assert main(["coherent", "--param", f'method="{method}"', "--out", out]) == EXIT_OK
+            reports[method] = json.loads(read(os.path.join(out, "report.json")))
+        assert reports["displacement"]["method"] == "displacement-closed-form"
+        assert reports["annihilation-closed-form"]["normalization_constant"] == pytest.approx(
+            reports["annihilation"]["normalization_constant"], rel=1e-12)
 
     def test_explicit_zeta(self, tmp_path):
         out = str(tmp_path / "r")

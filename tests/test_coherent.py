@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from defosc import (
     DomainError,
     FockVector,
     Method,
+    Model,
     ModelParams,
     TruncationError,
     annihilation_eigenstate,
@@ -31,6 +33,8 @@ from defosc import (
     zeta_from_alpha,
 )
 from defosc.coherent import MAX_CUTOFF_ENV, max_auto_cutoff
+
+TPT2 = tpt_deformation(ModelParams.tpt(2.0))
 
 
 def negative_binomial_tail(r_index, zeta, start):
@@ -87,6 +91,9 @@ class TestAnnihilationEigenstate:
         f = tpt_deformation(ModelParams.tpt(2.0))
         with pytest.raises(TruncationError):
             annihilation_eigenstate(f, 3.0, 8, tail_tol=1e-30, max_cutoff=16)
+        # a non-finite amplitude is a domain error, not a cutoff shortfall
+        with pytest.raises(DomainError):
+            annihilation_eigenstate(f, complex(math.nan, 0.0), 8, max_cutoff=16)
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv(MAX_CUTOFF_ENV, "8")
@@ -146,6 +153,28 @@ class TestClosedFormCoefficients:
         closed = closed_form_bg_coefficients(p, alpha, 96)
         assert np.max(np.abs(rec.state.coeffs - closed.coeffs)) < 1e-12
 
+    # lam >= 3e4 is left out: gammaln cancellation there costs about 3e-11
+    # (lam = 3e4) to 1e-9 (lam = 1e6) against the 50-digit reference
+    @pytest.mark.parametrize("p", [ModelParams.tpt(0.5001), ModelParams.tpt(2.0), ModelParams.tpt(40.0),
+                                   ModelParams.pseudoharmonic(0.6), ModelParams.pseudoharmonic(150.0)])
+    def test_matches_mpmath_oracle(self, p):
+        # the paper's per-model forms, (2 lam)^n Gamma(2 lam) / (n! Gamma(2 lam + n)) and
+        # Gamma(2 s + 1) / (n! Gamma(2 s + n + 1)), evaluated at 50 digits
+        with mp.workdps(50):
+            if p.model is Model.TPT:
+                d, c = 2 * mp.mpf(p.lam), 2 * mp.mpf(p.lam) - 1
+            else:
+                d, c = mp.mpf(1), 2 * mp.mpf(p.s)
+            for amag in (0.1, 1.0, 2.0, 3.5):
+                alpha = amag * np.exp(0.7j)
+                raw = [mp.mpc(alpha) ** n
+                       * mp.sqrt(d**n * mp.gamma(1 + c) / (mp.factorial(n) * mp.gamma(n + 1 + c)))
+                       for n in range(64)]
+                norm = mp.sqrt(mp.fsum(abs(v) ** 2 for v in raw))
+                ref = np.array([complex(v / norm) for v in raw])
+                got = closed_form_bg_coefficients(p, alpha, 64).coeffs
+                assert np.max(np.abs(got - ref)) < 1e-12
+
     def test_ladder_route_identical(self):
         # eigenfunction-ladder amplitudes and deformed-operator amplitudes
         # define the same coefficient family
@@ -159,19 +188,22 @@ class TestClosedFormCoefficients:
 
 class TestZetaMap:
     def test_value(self):
-        assert zeta_from_alpha(0.5, 2.0) == pytest.approx(math.tanh(0.25), abs=1e-14)
+        assert zeta_from_alpha(0.5, TPT2) == pytest.approx(math.tanh(0.25), abs=1e-14)
 
     def test_zero(self):
-        assert zeta_from_alpha(0.0, 2.0) == 0
+        assert zeta_from_alpha(0.0, TPT2) == 0
 
     def test_saturates_inside_unit_disk(self):
         for amag in (10.0, 100.0, 1e4):
-            z = zeta_from_alpha(amag * np.exp(0.3j), 2.0)
+            z = zeta_from_alpha(amag * np.exp(0.3j), TPT2)
             assert abs(z) < 1.0
-        assert abs(zeta_from_alpha(1e8, 2.0)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(zeta_from_alpha(1e8, TPT2)) == pytest.approx(1.0, abs=1e-12)
+        for bad in (math.inf, complex(0.0, -math.inf), math.nan):
+            with pytest.raises(DomainError):
+                zeta_from_alpha(bad, TPT2)
 
     def test_phase_carried(self):
-        z = zeta_from_alpha(0.5j, 2.0)
+        z = zeta_from_alpha(0.5j, TPT2)
         assert z == pytest.approx(1j * math.tanh(0.25), abs=1e-14)
 
 
@@ -189,8 +221,11 @@ class TestDisplacementClosedForm:
         assert np.array_equal(res.state.coeffs, FockVector.vacuum(8).coeffs)
 
     def test_outside_unit_disk(self):
-        with pytest.raises(DomainError, match="outside unit disk"):
-            displacement_state_closed_form(ModelParams.tpt(2.0), 1.0, 8)
+        for zeta in (1.0, math.nan, complex(0.0, math.inf)):
+            with pytest.raises(DomainError, match="outside unit disk"):
+                displacement_state_closed_form(ModelParams.tpt(2.0), zeta, 8)
+            with pytest.raises(DomainError, match="outside unit disk"):
+                deformed_displacement_coefficients(TPT2, zeta, 8)
 
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0, 20.0])
     @pytest.mark.parametrize("zmag", [0.3, 0.6, 0.9])
@@ -228,7 +263,7 @@ class TestDisplacementOperatorRoutes:
         p = ModelParams.tpt(2.0)
         f = tpt_deformation(p)
         res = displacement_state_direct(f, 0.5, 64)
-        closed = displacement_state_closed_form(p, zeta_from_alpha(0.5, 2.0), 64)
+        closed = displacement_state_closed_form(p, zeta_from_alpha(0.5, f), 64)
         assert np.max(np.abs(res.state.coeffs - closed.state.coeffs)) < 1e-9
 
     def test_direct_zero(self):
@@ -270,7 +305,7 @@ class TestDisplacementOperatorRoutes:
         fact = displacement_state_factored(f, 0.4, 64)
         assert np.max(np.abs(direct.state.coeffs - fact.state.coeffs)) < 1e-9
         closed = displacement_state_closed_form(
-            ModelParams.pseudoharmonic(1.0), zeta_from_alpha(0.4, 0.5), 64
+            ModelParams.pseudoharmonic(1.0), zeta_from_alpha(0.4, f), 64
         )
         assert np.max(np.abs(direct.state.coeffs - closed.state.coeffs)) < 1e-9
 
@@ -293,7 +328,7 @@ class TestCompareStates:
         p = ModelParams.tpt(2.0)
         alpha = 0.5
         bg = closed_form_bg_coefficients(p, alpha, 48)
-        disp = displacement_state_closed_form(p, zeta_from_alpha(alpha, 2.0), 48).state
+        disp = displacement_state_closed_form(p, zeta_from_alpha(alpha, TPT2), 48).state
         diff, infid = compare_states(bg, disp)
         assert diff > 1e-3
         assert infid > 1e-5
@@ -382,7 +417,7 @@ class TestStructuralIdentity:
         alpha = amag * np.exp(1j * phase)
         p = ModelParams.tpt(lam)
         f = tpt_deformation(p)
-        zeta = zeta_from_alpha(alpha, lam)
+        zeta = zeta_from_alpha(alpha, f)
         res = displacement_state_closed_form(p, zeta, 64)
         raw_closed = res.state.coeffs * math.sqrt(max(0.0, 1.0 - res.tail_mass))
         raw_deformed = deformed_displacement_coefficients(f, zeta, 64)

@@ -32,8 +32,8 @@ from defosc import (
 def affine_deformation(slope, intercept):
     return DeformationFunction(
         label=f"affine({slope},{intercept})",
-        fsq_callable=lambda n: slope * n + intercept,
-        affine=(slope, intercept),
+        slope=slope,
+        intercept=intercept,
     )
 
 

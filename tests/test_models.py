@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,9 +116,28 @@ class TestDeformations:
             pseudoharmonic_deformation(0.0)
         with pytest.raises(DomainError):
             ModelParams.pseudoharmonic(-1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for build in (
+                lambda x: ModelParams.tpt(x),
+                lambda x: ModelParams.tpt(2.0, a=x),
+                lambda x: ModelParams.pseudoharmonic(x),
+                lambda x: ModelParams.harmonic(x),
+                pseudoharmonic_deformation,
+                lambda x: pseudoharmonic_energy(0, x),
+            ):
+                with pytest.raises(DomainError):
+                    build(bad)
 
     def test_su11_structure(self):
-        f = tpt_deformation(ModelParams.tpt(2.0))
+        p = ModelParams.tpt(2.0)
+        assert tpt_deformation(p) == tpt_deformation(p)
+        for d, slope, intercept in (
+            (tpt_deformation(p), 0.25, 0.75),
+            (pseudoharmonic_deformation(1.5), 1.0, 3.0),
+            (harmonic_deformation(), 0.0, 1.0),
+        ):
+            assert (d.slope, d.intercept) == (slope, intercept)
+        f = tpt_deformation(p)
         assert f.su11_scale == pytest.approx(4.0)
         assert f.bargmann_index == pytest.approx(2.0)
         g = pseudoharmonic_deformation(1.5)

@@ -17,12 +17,10 @@ from defosc import (
     orthonormality_gram,
     overlap_quadrature,
     pseudoharmonic_ladder_fd,
-    pseudoharmonic_radial,
     pseudoharmonic_radials,
     radial_grid,
     sample_eigenfunction,
     tpt_deformation,
-    tpt_eigenfunction,
     tpt_eigenfunctions,
     tpt_grid,
     tpt_ground,
@@ -83,7 +81,7 @@ class TestTptEigenfunctions:
 
     def test_scalar_interface(self):
         p = ModelParams.tpt(2.0, 1.0)
-        assert tpt_eigenfunction(0, 0.3, p) == pytest.approx(tpt_ground(0.3, p), rel=1e-14)
+        assert tpt_eigenfunctions(0, 0.3, p)[0, 0] == pytest.approx(tpt_ground(0.3, p), rel=1e-14)
 
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0])
     def test_recurrence_matches_extended_precision(self, lam):
@@ -113,7 +111,7 @@ class TestTptEigenfunctions:
 
 class TestPseudoharmonicRadial:
     def test_ground_value(self):
-        assert pseudoharmonic_radial(0, 1.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-13)
+        assert pseudoharmonic_radials(0, 1.0, 1.0)[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-13)
 
     def test_first_laguerre_factor(self):
         # R_1/R_0 = (N_1/N_0) (2s + 1 - rho)
@@ -126,9 +124,9 @@ class TestPseudoharmonicRadial:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            pseudoharmonic_radial(0, 1.0, 0.0)
+            pseudoharmonic_radials(0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            pseudoharmonic_radial(0, 1.0, -2.0)
+            pseudoharmonic_radials(0, 1.0, np.array([1.0, -2.0]))
         with pytest.raises(DomainError):
             pseudoharmonic_radials(3, -1.0, np.array([1.0]))
 
