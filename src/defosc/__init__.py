@@ -2,7 +2,7 @@
 
 Numerical realization of the ladder-operator and deformed-operator
 constructions for the trigonometric Poschl-Teller and pseudoharmonic
-potentials: truncated Fock-space matrices, coherent states by the
+potentials: truncated Fock-space ladder operators, coherent states by the
 annihilation-eigenstate and displacement definitions, coordinate-space
 eigenfunctions, and machine checks of the algebraic identities relating
 them.
@@ -31,14 +31,11 @@ from .models import (
 from .fock import (
     FockVector,
     OperatorMatrix,
-    apply,
-    commutator,
     deformed_hamiltonian_antisymmetric,
     deformed_hamiltonian_symmetric,
-    identity_matrix,
-    ladder_matrices,
+    exp_ladder_apply,
+    ladder_amplitudes,
     matrix_exponential,
-    number_matrix,
 )
 from .coherent import (
     CoherentStateResult,
@@ -51,7 +48,6 @@ from .coherent import (
     displacement_state_closed_form,
     displacement_state_direct,
     displacement_state_factored,
-    factored_displacement_matrices,
     glauber_coefficients,
     harmonic_limit_deviation,
     max_auto_cutoff,

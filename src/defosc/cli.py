@@ -234,12 +234,11 @@ def _task_spectrum(cfg: RunConfig):
     n = np.arange(n_levels, dtype=float)
     energies = _energies(p, n)
     if p.model is models.Model.PSEUDOHARMONIC:
-        ham = fock.deformed_hamiltonian_antisymmetric(f, n_levels)
+        diag = fock.deformed_hamiltonian_antisymmetric(f, n_levels)
         check_id = "spectrum-antisymmetric-hamiltonian"
     else:
-        ham = fock.deformed_hamiltonian_symmetric(f, n_levels, p.omega)
+        diag = fock.deformed_hamiltonian_symmetric(f, n_levels, p.omega)
         check_id = "spectrum-symmetric-hamiltonian"
-    diag = ham.entries.diagonal().real
     rel = float(np.max(np.abs(diag - energies) / np.maximum(np.abs(energies), 1e-300)))
     checks = [_check(check_id, {"model": cfg.settings["model"], "levels": n_levels},
                      rel, cfg.settings["check_tol"])]
@@ -250,25 +249,27 @@ def _task_spectrum(cfg: RunConfig):
 def _rel_dev(computed: np.ndarray, target: np.ndarray) -> float:
     # Entrywise relative to the identity's magnitude, floored at 1 so that
     # structurally-zero entries are compared absolutely.
-    return float(np.max(np.abs(computed - target) / np.maximum(1.0, np.abs(target))))
+    return float(np.max(np.abs(computed - target) / np.maximum(1.0, np.abs(target)), initial=0.0))
 
 
 def _commutator_suite(p: models.ModelParams, cutoff: int) -> list[tuple[str, float, list[int]]]:
     # For f^2(n) = slope*n + intercept: [A, A^dag] = C with
     # C = diag(2*slope*n + slope + intercept), [A, N] = A and [A^dag, N] = -A^dag.
+    # Each side has one nonzero diagonal, built from amp[n] = <n|A|n+1>; the
+    # entries touching index N-1 are excluded, leaving amp[n] for n < N-2.
     f = models.deformation_for(p)
-    lowering, raising = fock.ladder_matrices(f, cutoff)
-    num = fock.number_matrix(cutoff)
-    inner = np.s_[: cutoff - 1, : cutoff - 1]
+    amp = fock.ladder_amplitudes(f, cutoff)
+    sq = amp * amp
     n = np.arange(cutoff - 1, dtype=float)
-    c1 = fock.commutator(lowering, raising).entries.diagonal()[:-1]
-    d2 = fock.commutator(lowering, num).entries[inner]
-    d3 = fock.commutator(raising, num).entries[inner]
+    c1 = sq - np.concatenate(([0.0], sq[:-1]))
+    inner, m = amp[:-1], n[:-1]
+    d2 = inner * (m + 1.0) - m * inner
+    d3 = inner * m - (m + 1.0) * inner
     excluded = [cutoff - 1]
     return [
         ("commutator-lower-raise", _rel_dev(c1, 2.0 * f.slope * n + f.slope + f.intercept), excluded),
-        ("commutator-lower-number", _rel_dev(d2, lowering.entries[inner]), excluded),
-        ("commutator-raise-number", _rel_dev(d3, -raising.entries[inner]), excluded),
+        ("commutator-lower-number", _rel_dev(d2, inner), excluded),
+        ("commutator-raise-number", _rel_dev(d3, -inner), excluded),
     ]
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SizeMismatchError, TruncationError
-from .fock import FockVector, OperatorMatrix, apply, ladder_matrices, matrix_exponential
+from .fock import FockVector, OperatorMatrix, exp_ladder_apply, ladder_amplitudes, matrix_exponential
 from .models import DeformationFunction, ModelParams, deformation_for
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "deformed_displacement_coefficients",
     "displacement_state_direct",
     "displacement_state_factored",
-    "factored_displacement_matrices",
     "compare_states",
     "photon_statistics",
     "harmonic_limit_deviation",
@@ -290,77 +289,58 @@ def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cu
     return (1.0 - abs(zeta) ** 2) ** k * coeffs
 
 
+def _renormalized_image(image: np.ndarray, method: Method, parameter: complex,
+                        f: DeformationFunction, tail_tol: float) -> CoherentStateResult:
+    """Renormalized result of a displacement route; the raw norm (exactly 1
+    untruncated) is kept, and the last coefficient's weight must not exceed ``tail_tol``."""
+    norm = float(np.linalg.norm(image))
+    tail = float(abs(image[-1]) ** 2) / norm**2
+    if tail > tail_tol:
+        raise TruncationError(
+            f"{method.value} image has tail mass {tail:.3e} above tolerance "
+            f"{tail_tol:.1e} at cutoff {image.size}; increase the cutoff"
+        )
+    state = FockVector(image / norm, tail_mass=tail)
+    return CoherentStateResult(state, method, parameter, norm, tail, f.params)
+
+
 def displacement_state_direct(
     f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-9
 ) -> CoherentStateResult:
     """Vacuum image of exp(alpha A^dag - alpha* A) by dense matrix exponential.
 
-    The deviation of the raw image norm from 1 is a truncation diagnostic
-    (the generator is antihermitian, so the exact image is unit norm); the
-    returned state is renormalized.
+    The generator is the tridiagonal matrix built from the ladder
+    amplitudes; this route is the independent reference of the others.
     """
-    if cutoff < 2:
-        raise DomainError(f"need cutoff >= 2, got {cutoff}")
     alpha = _amplitude(alpha)
-    lowering, raising = ladder_matrices(f, cutoff)
-    gen = alpha * raising - np.conj(alpha) * lowering
+    amp = ladder_amplitudes(f, cutoff)
+    gen = OperatorMatrix(alpha * np.diag(amp, -1) - np.conj(alpha) * np.diag(amp, 1))
     image = matrix_exponential(gen).entries[:, 0]
-    norm = float(np.linalg.norm(image))
-    tail = float(abs(image[-1]) ** 2) / norm**2
-    if tail > tail_tol:
-        raise TruncationError(
-            f"direct displacement image has tail mass {tail:.3e} above tolerance "
-            f"{tail_tol:.1e} at cutoff {cutoff}; increase the cutoff"
-        )
-    state = FockVector(image / norm, tail_mass=tail)
-    return CoherentStateResult(state, Method.DISPLACEMENT_DIRECT, alpha, norm, tail, f.params)
-
-
-def factored_displacement_matrices(
-    f: DeformationFunction, alpha: complex, cutoff: int
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Ordered factors of the disentangled displacement operator.
-
-    Returns (raising factor, weight factor, lowering factor) whose product
-    in that order equals exp(alpha A^dag - alpha* A) on the truncated
-    basis:
-
-        exp(zeta sqrt(d) A^dag) * diag((1-|zeta|^2)^(k+n)) * exp(-zeta* sqrt(d) A)
-
-    with d the su(1,1) level scale of the deformation and k its lowest
-    weight; for the TPT model the weight-factor diagonal is
-    (1-|zeta|^2)^(lam+n).
-    """
-    if cutoff < 2:
-        raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    d = f.su11_scale
-    k = f.bargmann_index
-    zeta = zeta_from_alpha(alpha, f)
-    lowering, raising = ladder_matrices(f, cutoff)
-    left = matrix_exponential(zeta * math.sqrt(d) * raising)
-    n = np.arange(cutoff, dtype=float)
-    weight = OperatorMatrix(np.diag(((1.0 - abs(zeta) ** 2) ** (k + n)).astype(complex)))
-    right = matrix_exponential(-np.conj(zeta) * math.sqrt(d) * lowering)
-    return left, weight, right
+    return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f, tail_tol)
 
 
 def displacement_state_factored(
     f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-9
 ) -> CoherentStateResult:
-    """Vacuum image of the ordered factor product (disentangled route)."""
-    left, weight, right = factored_displacement_matrices(f, alpha, cutoff)
-    vac = FockVector.vacuum(cutoff)
-    image = apply(left, apply(weight, apply(right, vac)))
-    norm = image.norm()
-    tail = float(abs(image.coeffs[-1]) ** 2) / norm**2
-    if tail > tail_tol:
-        raise TruncationError(
-            f"factored displacement image has tail mass {tail:.3e} above tolerance "
-            f"{tail_tol:.1e} at cutoff {cutoff}; increase the cutoff"
-        )
-    state = FockVector(image.coeffs / norm, tail_mass=tail)
+    """Vacuum image of the ordered factors of the disentangled displacement.
+
+    On the truncated basis exp(alpha A^dag - alpha* A) equals
+
+        exp(zeta sqrt(d) A^dag) * diag((1-|zeta|^2)^(k+n)) * exp(-zeta* sqrt(d) A)
+
+    with d the su(1,1) level scale of the deformation and k its lowest
+    weight; for the TPT model the middle diagonal is (1-|zeta|^2)^(lam+n).
+    The factors act right to left on the vacuum, each ladder exponential
+    by its finite series (:func:`defosc.fock.exp_ladder_apply`).
+    """
     zeta = zeta_from_alpha(alpha, f)
-    return CoherentStateResult(state, Method.DISPLACEMENT_FACTORED, zeta, norm, tail, f.params)
+    scale = math.sqrt(f.su11_scale)
+    amp = ladder_amplitudes(f, cutoff)
+    n = np.arange(cutoff, dtype=float)
+    image = exp_ladder_apply(amp, -np.conj(zeta) * scale, FockVector.vacuum(cutoff).coeffs, False)
+    image = (1.0 - abs(zeta) ** 2) ** (f.bargmann_index + n) * image
+    image = exp_ladder_apply(amp, zeta * scale, image, True)
+    return _renormalized_image(image, Method.DISPLACEMENT_FACTORED, zeta, f, tail_tol)
 
 
 def compare_states(u: FockVector, v: FockVector) -> tuple[float, float]:

@@ -5,6 +5,9 @@ distinct exit status, so library code should raise these rather than bare
 ValueError/RuntimeError where the cause is known.
 """
 
+__all__ = ["DefoscError", "DomainError", "SizeMismatchError", "TruncationError",
+           "QuadratureError", "ConfigError"]
+
 
 class DefoscError(Exception):
     """Base class for all package errors."""

@@ -1,9 +1,10 @@
 """Truncated Fock-space representation of deformed oscillator algebras.
 
-Operators live on the first N number states as dense complex N x N
-matrices.  Ladder matrices are strictly one-off-diagonal and the raising
-matrix is the transpose of the lowering one for any real deformation, so
-hermiticity checks reduce to transposition.
+Operators live on the first N number states.  A ladder operator is
+stored as its single off-diagonal, the amplitude vector
+amp[n-1] = sqrt(n f^2(n)), and a deformed Hamiltonian as its diagonal.
+The one dense matrix kept is :class:`OperatorMatrix`, for the
+:func:`matrix_exponential` of the direct displacement route.
 
 Truncation policy: identities that involve a product of a raising and a
 lowering step fail on the last basis index because the coupling to level N
@@ -23,14 +24,11 @@ from .models import DeformationFunction
 __all__ = [
     "FockVector",
     "OperatorMatrix",
-    "ladder_matrices",
-    "number_matrix",
-    "identity_matrix",
-    "commutator",
+    "ladder_amplitudes",
+    "exp_ladder_apply",
     "deformed_hamiltonian_symmetric",
     "deformed_hamiltonian_antisymmetric",
     "matrix_exponential",
-    "apply",
 ]
 
 
@@ -93,90 +91,58 @@ class OperatorMatrix:
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise DomainError("OperatorMatrix needs a square 2-D array")
 
-    @property
-    def cutoff(self) -> int:
-        return self.entries.shape[0]
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T)
+def ladder_amplitudes(f: DeformationFunction, cutoff: int) -> np.ndarray:
+    """Off-diagonal of the deformed ladder operators: amp[n-1] = sqrt(n f^2(n)).
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _check_same_cutoff(self, other)
-        return OperatorMatrix(self.entries @ other.entries)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _check_same_cutoff(self, other)
-        return OperatorMatrix(self.entries + other.entries)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        _check_same_cutoff(self, other)
-        return OperatorMatrix(self.entries - other.entries)
-
-    def __rmul__(self, scalar) -> "OperatorMatrix":
-        return OperatorMatrix(scalar * self.entries)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.entries)
-
-
-def _check_same_cutoff(x: OperatorMatrix, y: OperatorMatrix) -> None:
-    if x.cutoff != y.cutoff:
-        raise SizeMismatchError(f"cutoffs differ: {x.cutoff} vs {y.cutoff}")
-
-
-def ladder_matrices(f: DeformationFunction, cutoff: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Lowering and raising matrices of the deformed oscillator.
-
-    lowering[n-1, n] = sqrt(n f^2(n)), raising[n+1, n] = sqrt((n+1) f^2(n+1)),
-    all other entries zero.  For the TPT deformation these are exactly
-    sqrt(n (2 lam + n - 1)/(2 lam)) and sqrt((n+1)(2 lam + n)/(2 lam)).
+    The lowering operator maps |n> to amp[n-1] |n-1> and the raising
+    operator maps |n-1> to amp[n-1] |n>, for 1 <= n < cutoff.  For the TPT
+    deformation amp[n-1] = sqrt(n (2 lam + n - 1)/(2 lam)).
     """
     if cutoff < 2:
-        raise DomainError(f"ladder matrices need cutoff >= 2, got {cutoff}")
+        raise DomainError(f"ladder operators need cutoff >= 2, got {cutoff}")
     f.validate_positive(cutoff)
     n = np.arange(1, cutoff, dtype=float)
-    amp = np.sqrt(n * f.fsq(n))
-    lowering = OperatorMatrix(np.diag(amp.astype(complex), 1))
-    raising = OperatorMatrix(np.diag(amp.astype(complex), -1))
-    return lowering, raising
+    return np.sqrt(n * f.fsq(n))
 
 
-def number_matrix(cutoff: int) -> OperatorMatrix:
-    """diag(0, 1, ..., N-1)."""
-    if cutoff < 1:
-        raise DomainError(f"need cutoff >= 1, got {cutoff}")
-    return OperatorMatrix(np.diag(np.arange(cutoff, dtype=complex)))
+def exp_ladder_apply(amp: np.ndarray, x: complex, coeffs: np.ndarray, raising: bool) -> np.ndarray:
+    """exp(x L) coeffs for the raising (or lowering) operator L with amplitudes ``amp``.
+
+    L is nilpotent on the truncation, so its Taylor series is finite: at
+    most cutoff - 1 shifts, stopping as soon as a term vanishes.
+    """
+    v = np.asarray(coeffs, dtype=complex)
+    if v.shape != (amp.size + 1,):
+        raise SizeMismatchError(f"vector of size {v.size} for {amp.size} ladder amplitudes")
+    dst, src = (np.s_[1:], np.s_[:-1]) if raising else (np.s_[:-1], np.s_[1:])
+    result, term = v.copy(), v
+    for k in range(1, v.size):
+        shifted = np.zeros_like(term)
+        shifted[dst] = (x / k) * (amp * term[src])
+        if not shifted.any():
+            break
+        result += shifted
+        term = shifted
+    return result
 
 
-def identity_matrix(cutoff: int) -> OperatorMatrix:
-    if cutoff < 1:
-        raise DomainError(f"need cutoff >= 1, got {cutoff}")
-    return OperatorMatrix(np.eye(cutoff, dtype=complex))
-
-
-def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
-    """XY - YX on a common truncation."""
-    _check_same_cutoff(x, y)
-    return OperatorMatrix(x.entries @ y.entries - y.entries @ x.entries)
-
-
-def deformed_hamiltonian_symmetric(f: DeformationFunction, cutoff: int, omega: float) -> OperatorMatrix:
-    """(Omega/2)(A^dag A + A A^dag): diagonal (Omega/2)(n f^2(n) + (n+1) f^2(n+1)).
+def deformed_hamiltonian_symmetric(f: DeformationFunction, cutoff: int, omega: float) -> np.ndarray:
+    """Diagonal of (Omega/2)(A^dag A + A A^dag): (Omega/2)(n f^2(n) + (n+1) f^2(n+1)).
 
     With the TPT deformation and Omega = lam*a^2 this reproduces the TPT
     spectrum (a^2/2)(n^2 + 2 n lam + lam) exactly, including the last
     diagonal entry (both terms are evaluated from f^2, not from the
-    truncated product of ladder matrices).
+    truncated product of ladder operators).
     """
     if cutoff < 1:
         raise DomainError(f"need cutoff >= 1, got {cutoff}")
     n = np.arange(cutoff, dtype=float)
-    diag = 0.5 * omega * (n * f.fsq(n) + (n + 1.0) * f.fsq(n + 1.0))
-    return OperatorMatrix(np.diag(diag.astype(complex)))
+    return 0.5 * omega * (n * f.fsq(n) + (n + 1.0) * f.fsq(n + 1.0))
 
 
-def deformed_hamiltonian_antisymmetric(f: DeformationFunction, cutoff: int) -> OperatorMatrix:
-    """A A^dag - A^dag A: diagonal (n+1) f^2(n+1) - n f^2(n).
+def deformed_hamiltonian_antisymmetric(f: DeformationFunction, cutoff: int) -> np.ndarray:
+    """Diagonal of A A^dag - A^dag A: (n+1) f^2(n+1) - n f^2(n).
 
     For f^2(n) = n + 2 s this equals 2*(n + s + 1/2), the pseudoharmonic
     spectrum; for affine f^2(n) = a n + b it is 2*(a n + (a+b)/2).
@@ -184,8 +150,7 @@ def deformed_hamiltonian_antisymmetric(f: DeformationFunction, cutoff: int) -> O
     if cutoff < 1:
         raise DomainError(f"need cutoff >= 1, got {cutoff}")
     n = np.arange(cutoff, dtype=float)
-    diag = (n + 1.0) * f.fsq(n + 1.0) - n * f.fsq(n)
-    return OperatorMatrix(np.diag(diag.astype(complex)))
+    return (n + 1.0) * f.fsq(n + 1.0) - n * f.fsq(n)
 
 
 # Scaling-and-squaring parameters: reduce the 1-norm below _THETA, apply a
@@ -227,10 +192,3 @@ def matrix_exponential(m: OperatorMatrix) -> OperatorMatrix:
     if not np.all(np.isfinite(result)):
         raise OverflowError("matrix exponential overflowed during squaring")
     return OperatorMatrix(result)
-
-
-def apply(m: OperatorMatrix, v: FockVector) -> FockVector:
-    """Matrix-vector product; no implicit normalization."""
-    if m.cutoff != v.cutoff:
-        raise SizeMismatchError(f"cutoffs differ: {m.cutoff} vs {v.cutoff}")
-    return FockVector(m.entries @ v.coeffs, tail_mass=v.tail_mass)

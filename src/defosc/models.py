@@ -42,6 +42,7 @@ __all__ = [
     "tpt_deformation",
     "pseudoharmonic_deformation",
     "harmonic_deformation",
+    "deformation_for",
 ]
 
 

@@ -22,10 +22,11 @@ psi_0(u) = sqrt(a Gamma(lam+1)/(sqrt(pi) Gamma(lam+1/2))) (1-u^2)^(lam/2),
 which is unit-normalized under the measure dx = du/(a sqrt(1-u^2)).
 
 Pseudoharmonic radial functions R_n = N_n rho^s e^(-rho/2) L_n^(2s)(rho),
-N_n = sqrt(2 n! / Gamma(n+2s+1)), use the standard associated-Laguerre
-recurrence.  The rho variable is the squared radius of the planar
-problem, so the physical inner product carries the measure d(rho)/2
-(that is r dr); with this measure the family above is orthonormal.
+N_n = sqrt(2 n! / Gamma(n+2s+1)), follow the associated-Laguerre
+recurrence rescaled to act on R_n itself.  The rho variable is the
+squared radius of the planar problem, so the physical inner product
+carries the measure d(rho)/2 (that is r dr); with this measure the
+family above is orthonormal.
 
 Differential ladder operators are verified by central finite differences:
 the operator image of psi_n is least-squares fitted against psi_{n +/- 1}
@@ -265,8 +266,10 @@ def _check_rho(rho) -> np.ndarray:
 def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
     """R_0 .. R_{n_max} at the points rho, shape (n_max+1, len(rho)).
 
-    Laguerre part by the three-term recurrence
-    (k+1) L_{k+1} = (2k + 2s + 1 - rho) L_k - (k + 2s) L_{k-1}.
+    The Laguerre recurrence rescaled to the normalized functions, which
+    keeps rho^s and L_n apart from each other (each overflows at large s):
+    sqrt((k+1)(k+2s+1)) R_{k+1} = (2k+2s+1-rho) R_k - sqrt(k(k+2s)) R_{k-1},
+    from R_0 = sqrt(2/Gamma(2s+1)) rho^s e^(-rho/2) formed in log space.
     """
     if s <= 0:
         raise DomainError(f"need s > 0, got {s}")
@@ -274,17 +277,13 @@ def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
         raise DomainError("n_max must be nonnegative")
     rr = np.atleast_1d(_check_rho(rho))
     two_s = 2.0 * s
-    lag = np.zeros((n_max + 1, rr.size))
-    lag[0] = 1.0
-    if n_max >= 1:
-        lag[1] = two_s + 1.0 - rr
-    for k in range(1, n_max):
-        lag[k + 1] = ((2.0 * k + two_s + 1.0 - rr) * lag[k] - (k + two_s) * lag[k - 1]) / (k + 1.0)
-    base = rr**s * np.exp(-rr / 2.0)
-    out = np.zeros_like(lag)
-    for n in range(n_max + 1):
-        log_norm = 0.5 * (math.log(2.0) + gammaln(n + 1.0) - gammaln(n + two_s + 1.0))
-        out[n] = math.exp(log_norm) * base * lag[n]
+    out = np.zeros((n_max + 1, rr.size))
+    out[0] = np.exp(0.5 * (math.log(2.0) - gammaln(two_s + 1.0)) + s * np.log(rr) - rr / 2.0)
+    for k in range(n_max):
+        lead = (2.0 * k + two_s + 1.0 - rr) * out[k]
+        if k >= 1:
+            lead = lead - math.sqrt(k * (k + two_s)) * out[k - 1]
+        out[k + 1] = lead / math.sqrt((k + 1.0) * (k + two_s + 1.0))
     return out
 
 

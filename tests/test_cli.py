@@ -109,26 +109,27 @@ class TestConfigErrors:
 class TestChecksAndStatuses:
     @pytest.mark.parametrize("model", ["tpt", "pseudoharmonic", "harmonic"])
     def test_commutators_pass(self, tmp_path, monkeypatch, model):
-        calls = []
-        real = fock.commutator
+        def no_dense_operator(*args, **kwargs):
+            raise AssertionError("dense operator in the commutator suite")
 
-        def counting(x, y):
-            calls.append((x, y))
-            return real(x, y)
-
-        monkeypatch.setattr(fock, "commutator", counting)
+        monkeypatch.setattr(fock, "OperatorMatrix", no_dense_operator)
         out = str(tmp_path / "r")
         assert main(["commutators", "--param", f'model="{model}"', "--out", out]) == EXIT_OK
         report = json.loads(read(os.path.join(out, "report.json")))
         ids = {c["id"] for c in report["checks"]}
         assert ids == {"commutator-lower-raise", "commutator-lower-number", "commutator-raise-number"}
         assert all(c["excluded_indices"] == [127] for c in report["checks"])
-        assert len(calls) == 3
 
     def test_commutator_suite_near_lower_bound(self):
         suite = _commutator_suite(ModelParams.tpt(0.6), 512)
         assert len(suite) == 3
         assert all(dev <= 1e-12 and excluded == [511] for _, dev, excluded in suite)
+
+    def test_commutator_suite_at_smallest_cutoff(self):
+        # at cutoff 2 every off-diagonal entry touches the excluded index
+        suite = _commutator_suite(ModelParams.tpt(2.0), 2)
+        assert [dev for _, dev, _ in suite] == [0.0, 0.0, 0.0]
+        assert all(excluded == [1] for _, _, excluded in suite)
 
     def test_commutators_harmonic(self, tmp_path):
         # roundoff of sqrt(n)^2 grows like eps*n, so the 1e-14 claim is
@@ -163,7 +164,7 @@ class TestChecksAndStatuses:
         for task in ("compare", "displacement-check", "wavefunction"):
             with monkeypatch.context() as m:
                 if task != "wavefunction":
-                    m.setattr(coherent, "ladder_matrices", no_dense_work)
+                    m.setattr(coherent, "ladder_amplitudes", no_dense_work)
                 code = main([task, "--param", 'model="harmonic"', "--out", str(tmp_path / "r")])
             assert code == EXIT_DOMAIN
             err = capsys.readouterr().err
@@ -239,6 +240,16 @@ class TestOtherTasks:
     def test_wavefunction_pseudoharmonic(self, tmp_path):
         assert main(["wavefunction", "--param", 'model="pseudoharmonic"', "--param", "cutoff=48",
                      "--param", "grid_nodes=400", "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    def test_wavefunction_pseudoharmonic_large_s(self, tmp_path):
+        # rho^s and the unnormalized Laguerre recurrence both overflow here
+        out = str(tmp_path / "r")
+        assert main(["wavefunction", "--param", 'model="pseudoharmonic"',
+                     "--param", "s=171.95637555610085", "--param", "alpha_re=2.9995668754551197",
+                     "--param", "alpha_im=-1.8061596451778663", "--param", "cutoff=1024",
+                     "--param", "grid_nodes=256", "--out", out]) == EXIT_OK
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert abs(report["quadrature_norm"] - 1.0) < 1e-6
 
     def test_harmonic_limit(self, tmp_path):
         out = str(tmp_path / "r")

@@ -14,24 +14,24 @@ from defosc import (
     ModelParams,
     TruncationError,
     annihilation_eigenstate,
-    apply,
     closed_form_bg_coefficients,
     compare_states,
+    deformation_for,
     deformed_displacement_coefficients,
     displacement_state_closed_form,
     displacement_state_direct,
     displacement_state_factored,
-    factored_displacement_matrices,
     glauber_coefficients,
     harmonic_deformation,
     harmonic_limit_deviation,
-    ladder_matrices,
+    ladder_amplitudes,
     photon_statistics,
     pseudoharmonic_deformation,
     tpt_deformation,
     tpt_ladder_coefficients,
     zeta_from_alpha,
 )
+from defosc import coherent
 from defosc.coherent import MAX_CUTOFF_ENV, max_auto_cutoff
 
 TPT2 = tpt_deformation(ModelParams.tpt(2.0))
@@ -109,8 +109,8 @@ class TestAnnihilationEigenstate:
         f = tpt_deformation(ModelParams.tpt(2.0))
         alpha = 0.8 - 0.3j
         c = annihilation_eigenstate(f, alpha, 64).state.coeffs
-        lowering, _ = ladder_matrices(f, 64)
-        image = lowering.entries @ c
+        lowering = np.diag(ladder_amplitudes(f, 64), 1)
+        image = lowering @ c
         assert np.max(np.abs(image[:-1] - alpha * c[:-1])) < 1e-10
 
 
@@ -277,18 +277,33 @@ class TestDisplacementOperatorRoutes:
     def test_factored_middle_diagonal(self):
         p = ModelParams.tpt(2.0)
         f = tpt_deformation(p)
-        # choose alpha so that zeta = 0.5
+        # choose alpha so that zeta = 0.5; the lowering factor leaves the
+        # vacuum alone, so the raw c_0 is the middle diagonal's first entry
         alpha = 2.0 * math.atanh(0.5)
-        _, weight, _ = factored_displacement_matrices(f, alpha, 8)
-        diag = weight.entries.diagonal().real
-        assert diag[0] == pytest.approx(0.5625, abs=1e-13)   # (1-0.25)^(2+0)
-        assert diag[1] == pytest.approx(0.421875, abs=1e-13)  # 0.75^3
+        res = displacement_state_factored(f, alpha, 64)
+        raw = res.state.coeffs * res.normalization_constant
+        assert raw[0].real == pytest.approx(0.5625, abs=1e-13)  # (1-0.25)^(2+0)
+        # c_1 = zeta sqrt(d) amp[0] c_0 = 0.5 * 2 * 1 * 0.5625
+        assert raw[1].real == pytest.approx(0.5625, abs=1e-13)
 
     def test_factored_zero_is_identity(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
-        left, weight, right = factored_displacement_matrices(f, 0.0, 6)
-        for m in (left, weight, right):
-            assert np.allclose(m.entries, np.eye(6), atol=1e-15)
+        res = displacement_state_factored(f, 0.0, 6)
+        assert np.array_equal(res.state.coeffs, FockVector.vacuum(6).coeffs)
+        assert res.normalization_constant == 1.0
+
+    def test_factored_needs_no_dense_exponential(self, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("dense exponential in the factored route")
+
+        monkeypatch.setattr(coherent, "matrix_exponential", no_dense)
+        for p, alpha in ((ModelParams.tpt(2.0), 0.5 * np.exp(0.9j)),
+                         (ModelParams.tpt(10.0), 1.2 - 0.4j),
+                         (ModelParams.pseudoharmonic(1.0), 0.4)):
+            f = deformation_for(p)
+            fact = displacement_state_factored(f, alpha, 64)
+            closed = displacement_state_closed_form(p, zeta_from_alpha(alpha, f), 64)
+            assert np.max(np.abs(fact.state.coeffs - closed.state.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("lam", [2.0, 10.0])
     def test_factored_equals_direct(self, lam):
@@ -311,7 +326,7 @@ class TestDisplacementOperatorRoutes:
 
     def test_no_su11_structure_for_harmonic_factoring(self):
         with pytest.raises(DomainError):
-            factored_displacement_matrices(harmonic_deformation(), 0.5, 8)
+            displacement_state_factored(harmonic_deformation(), 0.5, 8)
 
 
 class TestCompareStates:
@@ -429,7 +444,6 @@ class TestEigenstateAction:
     def test_pseudoharmonic_eigenstate_property(self, s):
         f = pseudoharmonic_deformation(s)
         alpha = 1.2 * np.exp(0.5j)
-        c = annihilation_eigenstate(f, alpha, 64).state
-        lowering, _ = ladder_matrices(f, 64)
-        image = apply(lowering, c)
-        assert np.max(np.abs(image.coeffs[:-1] - alpha * c.coeffs[:-1])) < 1e-10
+        c = annihilation_eigenstate(f, alpha, 64).state.coeffs
+        image = np.diag(ladder_amplitudes(f, 64), 1) @ c
+        assert np.max(np.abs(image[:-1] - alpha * c[:-1])) < 1e-10

@@ -12,16 +12,13 @@ from defosc import (
     ModelParams,
     OperatorMatrix,
     SizeMismatchError,
-    apply,
-    commutator,
     deformed_hamiltonian_antisymmetric,
     deformed_hamiltonian_symmetric,
+    exp_ladder_apply,
     glauber_coefficients,
     harmonic_deformation,
-    identity_matrix,
-    ladder_matrices,
+    ladder_amplitudes,
     matrix_exponential,
-    number_matrix,
     pseudoharmonic_deformation,
     pseudoharmonic_energy,
     tpt_deformation,
@@ -37,121 +34,124 @@ def affine_deformation(slope, intercept):
     )
 
 
+def ladder_operators(f, cutoff):
+    # dense reference matrices built from the amplitude vector
+    amp = ladder_amplitudes(f, cutoff)
+    return np.diag(amp, 1), np.diag(amp, -1)
+
+
+def series_matrix(amp, x, raising):
+    # exp(x L) as a matrix, one basis vector at a time
+    size = amp.size + 1
+    return np.column_stack([exp_ladder_apply(amp, x, col, raising) for col in np.eye(size)])
+
+
 class TestLadderMatrices:
     def test_tpt_entries(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
-        lowering, raising = ladder_matrices(f, 6)
-        assert lowering.entries[0, 1] == pytest.approx(1.0, abs=1e-15)
-        assert raising.entries[2, 1] == pytest.approx(math.sqrt(2.5), abs=1e-15)
+        lowering, raising = ladder_operators(f, 6)
+        assert lowering[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert raising[2, 1] == pytest.approx(math.sqrt(2.5), abs=1e-15)
 
     def test_harmonic_entries(self):
-        lowering, _ = ladder_matrices(harmonic_deformation(), 9)
-        n = np.arange(1, 9)
-        assert np.allclose(lowering.entries[n - 1, n], np.sqrt(n), rtol=1e-15)
+        amp = ladder_amplitudes(harmonic_deformation(), 9)
+        assert np.allclose(amp, np.sqrt(np.arange(1, 9)), rtol=1e-15)
 
     def test_strictly_one_off_diagonal(self):
-        f = pseudoharmonic_deformation(1.0)
-        lowering, raising = ladder_matrices(f, 12)
-        assert np.count_nonzero(lowering.entries - np.diag(np.diag(lowering.entries, 1), 1)) == 0
-        assert np.count_nonzero(raising.entries - np.diag(np.diag(raising.entries, -1), -1)) == 0
+        # each power of a ladder operator moves a basis state by exactly one level
+        amp = ladder_amplitudes(pseudoharmonic_deformation(1.0), 12)
+        start = FockVector.basis_state(5, 12).coeffs
+        up = exp_ladder_apply(amp, 0.3, start, raising=True)
+        down = exp_ladder_apply(amp, 0.3, start, raising=False)
+        assert np.count_nonzero(up[:5]) == 0 and np.count_nonzero(down[6:]) == 0
+        for k in range(1, 7):
+            assert up[5 + k] == pytest.approx(0.3**k / math.factorial(k) * np.prod(amp[5 : 5 + k]), rel=1e-14)
+        for k in range(1, 6):
+            assert down[5 - k] == pytest.approx(0.3**k / math.factorial(k) * np.prod(amp[5 - k : 5]), rel=1e-14)
 
     def test_raising_is_transpose_for_real_deformation(self):
         for f in (tpt_deformation(ModelParams.tpt(3.3)), pseudoharmonic_deformation(0.7)):
-            lowering, raising = ladder_matrices(f, 20)
-            assert np.array_equal(raising.entries, lowering.entries.T)
-            assert np.array_equal(raising.entries, lowering.dag().entries)
+            amp = ladder_amplitudes(f, 20)
+            up = series_matrix(amp, 0.4, raising=True)
+            down = series_matrix(amp, 0.4, raising=False)
+            # equal up to the order in which each entry's product is rounded
+            assert np.max(np.abs(up - down.T)) <= 1e-14 * np.max(np.abs(up))
 
     def test_cutoff_too_small(self):
         with pytest.raises(DomainError):
-            ladder_matrices(harmonic_deformation(), 1)
+            ladder_amplitudes(harmonic_deformation(), 1)
 
     def test_nonpositive_deformation_rejected(self):
         bad = affine_deformation(-1.0, 0.5)
         with pytest.raises(DomainError):
-            ladder_matrices(bad, 8)
-
-
-class TestNumberMatrix:
-    def test_small(self):
-        assert np.array_equal(number_matrix(3).entries, np.diag([0.0, 1.0, 2.0]))
-        assert np.array_equal(number_matrix(1).entries, np.diag([0.0]))
-
-    def test_commutes_with_itself(self):
-        n = number_matrix(5)
-        assert np.count_nonzero(commutator(n, n).entries) == 0
+            ladder_amplitudes(bad, 8)
 
 
 class TestCommutators:
     def test_tpt_interior_diagonal(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
-        lowering, raising = ladder_matrices(f, 16)
-        diag = commutator(lowering, raising).entries.diagonal().real
+        lowering, raising = ladder_operators(f, 16)
+        diag = (lowering @ raising - raising @ lowering).diagonal()
         assert diag[0] == pytest.approx(1.0, abs=1e-14)
         assert diag[1] == pytest.approx(1.5, abs=1e-14)
         n = np.arange(15)
         assert np.allclose(diag[:15], 1.0 + n / 2.0, rtol=1e-13)
 
     def test_harmonic_interior_diagonal(self):
-        lowering, raising = ladder_matrices(harmonic_deformation(), 16)
-        diag = commutator(lowering, raising).entries.diagonal().real
+        lowering, raising = ladder_operators(harmonic_deformation(), 16)
+        diag = (lowering @ raising - raising @ lowering).diagonal()
         assert np.allclose(diag[:15], 1.0, atol=1e-14)
 
     def test_last_index_is_truncation_artifact(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
-        lowering, raising = ladder_matrices(f, 16)
-        diag = commutator(lowering, raising).entries.diagonal().real
+        lowering, raising = ladder_operators(f, 16)
+        diag = (lowering @ raising - raising @ lowering).diagonal()
         assert diag[15] < 0  # missing coupling to the cut level
 
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0])
     def test_tpt_weight_commutators(self, lam):
         cutoff = 64
         f = tpt_deformation(ModelParams.tpt(lam))
-        lowering, raising = ladder_matrices(f, cutoff)
-        weight = identity_matrix(cutoff) + (1.0 / lam) * number_matrix(cutoff)
+        lowering, raising = ladder_operators(f, cutoff)
+        weight = np.diag(1.0 + np.arange(cutoff) / lam)
         inner = np.s_[: cutoff - 1, : cutoff - 1]
-        lhs = commutator(lowering, weight).entries[inner]
-        assert np.allclose(lhs, lowering.entries[inner] / lam, rtol=1e-12, atol=1e-15)
-        rhs = commutator(raising, weight).entries[inner]
-        assert np.allclose(rhs, -raising.entries[inner] / lam, rtol=1e-12, atol=1e-15)
+        lhs = (lowering @ weight - weight @ lowering)[inner]
+        assert np.allclose(lhs, lowering[inner] / lam, rtol=1e-12, atol=1e-15)
+        rhs = (raising @ weight - weight @ raising)[inner]
+        assert np.allclose(rhs, -raising[inner] / lam, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
     def test_pseudoharmonic_commutators(self, s):
         cutoff = 64
         f = pseudoharmonic_deformation(s)
-        lowering, raising = ladder_matrices(f, cutoff)
-        diag = commutator(lowering, raising).entries.diagonal().real
+        lowering, raising = ladder_operators(f, cutoff)
+        diag = (lowering @ raising - raising @ lowering).diagonal()
         n = np.arange(cutoff - 1)
         target = 2.0 * (n + s + 0.5)
         assert np.max(np.abs(diag[:-1] - target) / target) < 1e-13
-        weight = number_matrix(cutoff) + (s + 0.5) * identity_matrix(cutoff)
+        weight = np.diag(np.arange(cutoff) + s + 0.5)
         inner = np.s_[: cutoff - 1, : cutoff - 1]
-        assert np.allclose(commutator(weight, lowering).entries[inner],
-                           -lowering.entries[inner], rtol=1e-12, atol=1e-15)
-        assert np.allclose(commutator(weight, raising).entries[inner],
-                           raising.entries[inner], rtol=1e-12, atol=1e-15)
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatchError):
-            commutator(number_matrix(4), number_matrix(5))
+        assert np.allclose((weight @ lowering - lowering @ weight)[inner],
+                           -lowering[inner], rtol=1e-12, atol=1e-15)
+        assert np.allclose((weight @ raising - raising @ weight)[inner],
+                           raising[inner], rtol=1e-12, atol=1e-15)
 
 
 class TestHamiltonians:
     def test_symmetric_matches_tpt_energy(self):
         p = ModelParams.tpt(2.0, 1.0)
-        h = deformed_hamiltonian_symmetric(tpt_deformation(p), 8, p.omega)
-        diag = h.entries.diagonal().real
+        diag = deformed_hamiltonian_symmetric(tpt_deformation(p), 8, p.omega)
         assert diag[0] == pytest.approx(1.0, abs=1e-14)
         assert diag[1] == pytest.approx(3.5, abs=1e-14)
         assert np.allclose(diag, tpt_energy(np.arange(8), p), rtol=1e-14)
 
     def test_symmetric_harmonic_reference(self):
-        h = deformed_hamiltonian_symmetric(harmonic_deformation(), 5, 1.0)
-        assert h.entries[0, 0].real == pytest.approx(0.5, abs=1e-15)
+        diag = deformed_hamiltonian_symmetric(harmonic_deformation(), 5, 1.0)
+        assert diag[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_antisymmetric_matches_pseudoharmonic_energy(self):
         f = pseudoharmonic_deformation(1.0)
-        h = deformed_hamiltonian_antisymmetric(f, 8)
-        diag = h.entries.diagonal().real
+        diag = deformed_hamiltonian_antisymmetric(f, 8)
         assert diag[0] == pytest.approx(3.0, abs=1e-14)
         assert diag[1] == pytest.approx(5.0, abs=1e-14)
         assert np.allclose(diag, pseudoharmonic_energy(np.arange(8), 1.0), rtol=1e-14)
@@ -164,7 +164,7 @@ class TestHamiltonians:
     def test_antisymmetric_generic_affine(self, slope, intercept):
         # (n+1) f^2(n+1) - n f^2(n) = 2 (slope*n + (slope+intercept)/2)
         f = affine_deformation(slope, intercept)
-        diag = deformed_hamiltonian_antisymmetric(f, 32).entries.diagonal().real
+        diag = deformed_hamiltonian_antisymmetric(f, 32)
         n = np.arange(32)
         target = 2.0 * (slope * n + (slope + intercept) / 2.0)
         assert np.allclose(diag, target, rtol=1e-12)
@@ -182,8 +182,8 @@ class TestMatrixExponential:
 
     def test_glauber_coefficients_oracle(self):
         # exp(a+ - a)|0> against e^{-1/2}/sqrt(n!)
-        lowering, raising = ladder_matrices(harmonic_deformation(), 64)
-        gen = OperatorMatrix(raising.entries - lowering.entries)
+        lowering, raising = ladder_operators(harmonic_deformation(), 64)
+        gen = OperatorMatrix(raising - lowering)
         col = matrix_exponential(gen).entries[:, 0]
         n = np.arange(64)
         expected = np.exp(-0.5) / np.sqrt([math.factorial(int(k)) for k in n[:20]])
@@ -211,25 +211,41 @@ class TestMatrixExponential:
 
 class TestApply:
     def test_identity(self):
-        v = FockVector(np.array([0.2, 0.5j, -0.1]))
-        w = apply(identity_matrix(3), v)
-        assert np.array_equal(w.coeffs, v.coeffs)
+        v = np.array([0.2, 0.5j, -0.1])
+        amp = ladder_amplitudes(harmonic_deformation(), 3)
+        for raising in (True, False):
+            assert np.array_equal(exp_ladder_apply(amp, 0.0, v, raising), v)
 
     def test_lowering_annihilates_vacuum(self):
-        lowering, _ = ladder_matrices(tpt_deformation(ModelParams.tpt(2.0)), 5)
-        out = apply(lowering, FockVector.vacuum(5))
-        assert np.count_nonzero(out.coeffs) == 0
+        amp = ladder_amplitudes(tpt_deformation(ModelParams.tpt(2.0)), 5)
+        vac = FockVector.vacuum(5).coeffs
+        # the lowering series stops after its first term, which vanishes
+        assert np.array_equal(exp_ladder_apply(amp, 0.7 - 0.2j, vac, raising=False), vac)
 
     def test_raising_vacuum_tpt(self):
-        _, raising = ladder_matrices(tpt_deformation(ModelParams.tpt(2.0)), 5)
-        out = apply(raising, FockVector.vacuum(5))
-        expected = np.zeros(5, dtype=complex)
-        expected[1] = 1.0  # sqrt(1 * (4+0)/4)
-        assert np.allclose(out.coeffs, expected, atol=1e-15)
+        amp = ladder_amplitudes(tpt_deformation(ModelParams.tpt(2.0)), 5)
+        assert amp[0] == pytest.approx(1.0, abs=1e-15)  # sqrt(1 * (4+0)/4)
+        out = exp_ladder_apply(amp, 1e-3, FockVector.vacuum(5).coeffs, raising=True)
+        assert out[1] == pytest.approx(1e-3 * amp[0], rel=1e-12)
 
     def test_size_mismatch(self):
+        amp = ladder_amplitudes(harmonic_deformation(), 3)
         with pytest.raises(SizeMismatchError):
-            apply(identity_matrix(3), FockVector.vacuum(4))
+            exp_ladder_apply(amp, 0.5, FockVector.vacuum(4).coeffs, raising=True)
+
+    @pytest.mark.parametrize("cutoff", [8, 64])
+    @pytest.mark.parametrize("raising", [True, False])
+    def test_against_scipy_oracle(self, cutoff, raising):
+        rng = np.random.default_rng(cutoff)
+        for f in (tpt_deformation(ModelParams.tpt(2.0)), pseudoharmonic_deformation(1.0)):
+            amp = ladder_amplitudes(f, cutoff)
+            dense = np.diag(amp, -1) if raising else np.diag(amp, 1)
+            for _ in range(4):
+                x = rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                v = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+                ref = scipy_expm(x * dense) @ v
+                got = exp_ladder_apply(amp, x, v, raising)
+                assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-14
 
 
 class TestFockVector:

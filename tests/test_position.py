@@ -130,6 +130,28 @@ class TestPseudoharmonicRadial:
         with pytest.raises(DomainError):
             pseudoharmonic_radials(3, -1.0, np.array([1.0]))
 
+    @pytest.mark.parametrize("s", [0.6, 1.0, 3.0, 20.0, 150.0, 200.0])
+    def test_matches_mpmath_oracle(self, s):
+        # the explicit Laguerre sum, independent of the recurrence; its
+        # alternating terms cancel by up to ~130 digits at rho = 900, n = 40,
+        # so it is summed at 250 digits.  Errors are scaled by the largest
+        # amplitude of each level, as for the TPT family.
+        rhos = [0.05, 1.0, 7.5, 40.0, 150.0, 400.0, 900.0]
+        levels = [0, 1, 2, 7, 19, 40]
+        mine = pseudoharmonic_radials(levels[-1], s, np.array(rhos))[levels]
+        ref = np.zeros_like(mine)
+        with mp.workdps(250):
+            a = 2 * mp.mpf(s)
+            for i, n in enumerate(levels):
+                norm = mp.sqrt(2 * mp.factorial(n) / mp.gamma(n + a + 1))
+                for j, rho in enumerate(rhos):
+                    rho = mp.mpf(rho)
+                    lag = mp.fsum((-1) ** k * mp.binomial(n + a, n - k) * rho**k / mp.factorial(k)
+                                  for k in range(n + 1))
+                    ref[i, j] = float(norm * rho ** mp.mpf(s) * mp.exp(-rho / 2) * lag)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(mine - ref) / scale) < 1e-12
+
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 2), (1, 4), (6, 6), (3, 6)])
     def test_orthonormality_pairs(self, n, m):
         s = 1.0
