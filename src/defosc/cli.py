@@ -89,6 +89,11 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
 }
 
 
+def _is_real(value: Any) -> bool:
+    # bool is an int subclass, but true/false is never a meaningful number here
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One resolved run: a task plus every numeric knob it may need."""
@@ -146,12 +151,14 @@ class RunConfig:
         if not isinstance(s["cutoff"], int) or s["cutoff"] < 2:
             raise ConfigError(f"cutoff must be an integer >= 2, got {s['cutoff']!r}")
         for key in ("tail_tol", "check_tol"):
-            if not isinstance(s[key], (int, float)) or s[key] <= 0:
-                raise ConfigError(f"{key} must be a positive number, got {s[key]!r}")
+            if not _is_real(s[key]) or not 0 < s[key] < math.inf:
+                raise ConfigError(f"{key} must be a finite positive number, got {s[key]!r}")
         if not isinstance(s["grid_nodes"], int) or s["grid_nodes"] < 2:
             raise ConfigError(f"grid_nodes must be an integer >= 2, got {s['grid_nodes']!r}")
         if not isinstance(s["lambdas"], list) or not s["lambdas"]:
             raise ConfigError("lambdas must be a nonempty list")
+        if not all(_is_real(x) and 0.5 < x < math.inf for x in s["lambdas"]):
+            raise ConfigError(f"lambdas entries must be finite numbers above 1/2, got {s['lambdas']!r}")
         try:
             self.model_params()
             amplitudes = {"alpha": self.alpha, "zeta": self.zeta}
@@ -286,31 +293,27 @@ def _task_commutators(cfg: RunConfig):
     return ["check", "max_deviation", "tolerance", "passed"], rows, checks, {}
 
 
-def _build_state(cfg: RunConfig) -> cs.CoherentStateResult:
+def _build_state(cfg: RunConfig, method: str) -> cs.CoherentStateResult:
     p = cfg.model_params()
     f = models.deformation_for(p)
-    method = cfg.settings["method"]
     cutoff = cfg.settings["cutoff"]
     tail_tol = cfg.settings["tail_tol"]
     if method == "annihilation":
         return cs.annihilation_eigenstate(f, cfg.alpha, cutoff, tail_tol=tail_tol)
     if method == "annihilation-closed-form":
-        vec = cs.closed_form_bg_coefficients(p, cfg.alpha, cutoff)
-        # the raw family has c_0 = 1, so the normalized c_0 is 1/||raw||
-        return cs.CoherentStateResult(vec, cs.Method.ANNIHILATION_EIGENSTATE, cfg.alpha,
-                                      float(abs(vec.coeffs[0])), vec.tail_mass, p)
+        return cs.closed_form_bg_coefficients(p, cfg.alpha, cutoff)
     if method == "displacement":
         zeta = cfg.zeta
         if zeta is None:
             zeta = cs.zeta_from_alpha(cfg.alpha, f)
         return cs.displacement_state_closed_form(p, zeta, cutoff)
     if method == "displacement-direct":
-        return cs.displacement_state_direct(f, cfg.alpha, cutoff, tail_tol=max(tail_tol, 1e-12))
-    return cs.displacement_state_factored(f, cfg.alpha, cutoff, tail_tol=max(tail_tol, 1e-12))
+        return cs.displacement_state_direct(f, cfg.alpha, cutoff, tail_tol=tail_tol)
+    return cs.displacement_state_factored(f, cfg.alpha, cutoff, tail_tol=tail_tol)
 
 
 def _task_coherent(cfg: RunConfig):
-    result = _build_state(cfg)
+    result = _build_state(cfg, cfg.settings["method"])
     c = result.state.coeffs
     rows = [[int(k), float(c[k].real), float(c[k].imag), float(abs(c[k]) ** 2)] for k in range(c.size)]
     stats = cs.photon_statistics(result.state)
@@ -344,7 +347,7 @@ def _task_compare(cfg: RunConfig):
     zeta = cs.zeta_from_alpha(alpha, f)
     bg_rec = cs.annihilation_eigenstate(f, alpha, cutoff, tail_tol=cfg.settings["tail_tol"],
                                         max_cutoff=cutoff).state
-    bg_closed = cs.closed_form_bg_coefficients(p, alpha, cutoff)
+    bg_closed = cs.closed_form_bg_coefficients(p, alpha, cutoff).state
     disp_closed = cs.displacement_state_closed_form(p, zeta, cutoff).state
     disp_formula = cs.deformed_displacement_coefficients(f, zeta, cutoff)
     disp_formula_vec = fock.FockVector(disp_formula).normalized()
@@ -373,9 +376,8 @@ def _task_displacement_check(cfg: RunConfig):
     tol = cfg.settings["check_tol"]
     alpha = cfg.alpha
     zeta = cs.zeta_from_alpha(alpha, f)
-    tail_tol = max(cfg.settings["tail_tol"], 1e-12)
-    direct = cs.displacement_state_direct(f, alpha, cutoff, tail_tol=tail_tol).state
-    factored = cs.displacement_state_factored(f, alpha, cutoff, tail_tol=tail_tol).state
+    direct = _build_state(cfg, "displacement-direct").state
+    factored = _build_state(cfg, "displacement-factored").state
     closed = cs.displacement_state_closed_form(p, zeta, cutoff).state
     dev_fact = float(np.max(np.abs(direct.coeffs - factored.coeffs)))
     dev_closed = float(np.max(np.abs(direct.coeffs - closed.coeffs)))
@@ -397,8 +399,7 @@ def _task_displacement_check(cfg: RunConfig):
 
 def _task_wavefunction(cfg: RunConfig):
     p = cfg.model_params()
-    result = _build_state(cfg)
-    state = result.state
+    state = _build_state(cfg, cfg.settings["method"]).state
     occupied = np.nonzero(np.abs(state.coeffs) ** 2 > 1e-16)[0]
     n_eff = int(occupied[-1]) if occupied.size else 0
     grid = position.grid_for(p, cfg.settings["grid_nodes"], n_eff, tail_tol=1e-12)
@@ -417,8 +418,6 @@ def _task_wavefunction(cfg: RunConfig):
 
 def _task_harmonic_limit(cfg: RunConfig):
     lambdas = [float(x) for x in cfg.settings["lambdas"]]
-    if any(l <= 0.5 for l in lambdas):
-        raise DomainError("all lambdas must exceed 1/2")
     devs = cs.harmonic_limit_deviation(cfg.alpha, lambdas, cfg.settings["cutoff"])
     rows = [[lambdas[i], devs[i]] for i in range(len(lambdas))]
     increases = [devs[i + 1] - devs[i] for i in range(len(devs) - 1)]

@@ -90,7 +90,7 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class CoherentStateResult:
-    """A constructed coherent state plus its construction diagnostics."""
+    """A finished coherent state plus the diagnostics of the route that built it."""
 
     state: FockVector
     method: Method
@@ -150,7 +150,7 @@ def annihilation_eigenstate(
         coeffs, log_nf = _coefficients_from_log(logmag, cmath.phase(alpha))
         tail = float(abs(coeffs[-1]) ** 2)
         if tail <= tail_tol:
-            state = FockVector(coeffs, tail_mass=tail)
+            state = FockVector(coeffs)
             return CoherentStateResult(
                 state, Method.ANNIHILATION_EIGENSTATE, alpha, math.exp(log_nf), tail, f.params
             )
@@ -182,15 +182,17 @@ def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> FockVect
     amp = np.sqrt(n * (2.0 * lam + n - 1.0) / (2.0 * lam))
     logmag = np.concatenate(([0.0], np.cumsum(math.log(abs(alpha)) - np.log(amp))))
     coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
-    return FockVector(coeffs, tail_mass=float(abs(coeffs[-1]) ** 2))
+    return FockVector(coeffs)
 
 
-def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> FockVector:
+def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Annihilation-eigenstate coefficients from their gamma-function closed form.
 
     For f^2(n) = (n + c)/d, with d = 1/slope and c = intercept/slope,
     c_n = C0 alpha^n sqrt(d^n Gamma(1 + c) / (n! Gamma(n + 1 + c))).
-    Evaluated through log-gamma, then normalized numerically.
+    Evaluated through log-gamma, then normalized numerically on the
+    truncation; the reported tail mass is |c_{N-1}|^2 of the normalized
+    vector.
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
@@ -199,12 +201,15 @@ def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> 
     c = f.intercept / f.slope
     alpha = _amplitude(alpha)
     if alpha == 0:
-        return FockVector.vacuum(cutoff)
-    n = np.arange(cutoff, dtype=float)
-    half_log = n * math.log(d) + gammaln(1.0 + c) - gammaln(n + 1.0) - gammaln(n + 1.0 + c)
-    logmag = n * math.log(abs(alpha)) + 0.5 * half_log
-    coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
-    return FockVector(coeffs, tail_mass=float(abs(coeffs[-1]) ** 2))
+        coeffs = FockVector.vacuum(cutoff).coeffs
+    else:
+        n = np.arange(cutoff, dtype=float)
+        half_log = n * math.log(d) + gammaln(1.0 + c) - gammaln(n + 1.0) - gammaln(n + 1.0 + c)
+        logmag = n * math.log(abs(alpha)) + 0.5 * half_log
+        coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
+    # the raw family has c_0 = 1, so the normalized c_0 is 1/||raw||
+    return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
+                               float(abs(coeffs[0])), float(abs(coeffs[-1]) ** 2), p)
 
 
 def zeta_from_alpha(alpha: complex, f: DeformationFunction) -> complex:
@@ -262,7 +267,7 @@ def displacement_state_closed_form(p: ModelParams, zeta: complex, cutoff: int) -
     tail = max(0.0, 1.0 - finite)
     n = np.arange(cutoff)
     raw = mags * np.exp(1j * cmath.phase(zeta) * n)
-    state = FockVector(raw / math.sqrt(finite), tail_mass=tail)
+    state = FockVector(raw / math.sqrt(finite))
     c0 = (1.0 - abs(zeta) ** 2) ** (r / 2.0)
     return CoherentStateResult(state, Method.DISPLACEMENT_CLOSED_FORM, zeta, c0, tail, p)
 
@@ -300,12 +305,11 @@ def _renormalized_image(image: np.ndarray, method: Method, parameter: complex,
             f"{method.value} image has tail mass {tail:.3e} above tolerance "
             f"{tail_tol:.1e} at cutoff {image.size}; increase the cutoff"
         )
-    state = FockVector(image / norm, tail_mass=tail)
-    return CoherentStateResult(state, method, parameter, norm, tail, f.params)
+    return CoherentStateResult(FockVector(image / norm), method, parameter, norm, tail, f.params)
 
 
 def displacement_state_direct(
-    f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-9
+    f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-12
 ) -> CoherentStateResult:
     """Vacuum image of exp(alpha A^dag - alpha* A) by dense matrix exponential.
 
@@ -320,7 +324,7 @@ def displacement_state_direct(
 
 
 def displacement_state_factored(
-    f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-9
+    f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-12
 ) -> CoherentStateResult:
     """Vacuum image of the ordered factors of the disentangled displacement.
 
@@ -395,7 +399,7 @@ def glauber_coefficients(alpha: complex, cutoff: int) -> FockVector:
     n = np.arange(cutoff, dtype=float)
     logmag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
     coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
-    return FockVector(coeffs, tail_mass=float(abs(coeffs[-1]) ** 2))
+    return FockVector(coeffs)
 
 
 def harmonic_limit_deviation(alpha: complex, lambdas: Sequence[float], cutoff: int) -> list[float]:
@@ -408,6 +412,6 @@ def harmonic_limit_deviation(alpha: complex, lambdas: Sequence[float], cutoff: i
     glauber = glauber_coefficients(alpha, cutoff)
     out = []
     for lam in lambdas:
-        state = closed_form_bg_coefficients(ModelParams.tpt(lam), alpha, cutoff)
+        state = closed_form_bg_coefficients(ModelParams.tpt(lam), alpha, cutoff).state
         out.append(float(np.max(np.abs(state.coeffs - glauber.coeffs))))
     return out

@@ -1,7 +1,8 @@
 """Truncated Fock-space representation of deformed oscillator algebras.
 
-Operators live on the first N number states.  A ladder operator is
-stored as its single off-diagonal, the amplitude vector
+Operators live on the first N number states, and a state is a
+:class:`FockVector`, just its validated coefficient vector.  A ladder
+operator is stored as its single off-diagonal, the amplitude vector
 amp[n-1] = sqrt(n f^2(n)), and a deformed Hamiltonian as its diagonal.
 The one dense matrix kept is :class:`OperatorMatrix`, for the
 :func:`matrix_exponential` of the direct displacement route.
@@ -34,15 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FockVector:
-    """Complex coefficient vector on the truncated number basis.
+    """Validated complex coefficient vector on the truncated number basis.
 
-    ``tail_mass`` is the declared |c_{N-1}|^2 diagnostic of the
-    construction that produced the vector (0 when not meaningful).
-    Instances are treated as immutable values.
+    Instances are treated as immutable values; construction diagnostics
+    such as the tail mass live on the result that produced the vector.
     """
 
     coeffs: np.ndarray
-    tail_mass: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
@@ -60,12 +59,7 @@ class FockVector:
         nrm = self.norm()
         if nrm == 0:
             raise DomainError("cannot normalize the zero vector")
-        return FockVector(self.coeffs / nrm, tail_mass=self.tail_mass)
-
-    def inner(self, other: "FockVector") -> complex:
-        if other.cutoff != self.cutoff:
-            raise SizeMismatchError(f"cutoffs differ: {self.cutoff} vs {other.cutoff}")
-        return complex(np.vdot(self.coeffs, other.coeffs))
+        return FockVector(self.coeffs / nrm)
 
     @classmethod
     def vacuum(cls, cutoff: int) -> "FockVector":

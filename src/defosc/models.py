@@ -24,7 +24,7 @@ records the choices for the two anharmonic models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -232,9 +232,9 @@ def harmonic_deformation() -> DeformationFunction:
 
 
 def deformation_for(p: ModelParams) -> DeformationFunction:
-    """Catalog lookup: the deformation attached to a parameter set."""
+    """Catalog lookup: the deformation attached to a parameter set, carrying ``p`` itself."""
     if p.model is Model.TPT:
         return tpt_deformation(p)
     if p.model is Model.PSEUDOHARMONIC:
-        return pseudoharmonic_deformation(p.s)
-    return harmonic_deformation()
+        return replace(pseudoharmonic_deformation(p.s), params=p)
+    return replace(harmonic_deformation(), params=p)

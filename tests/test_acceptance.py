@@ -145,7 +145,7 @@ def test_criterion_3_coefficient_identity():
         by_deformed = annihilation_eigenstate(f, alpha, cutoff, tail_tol=1.0,
                                               max_cutoff=cutoff).state.coeffs
         by_ladder = tpt_ladder_coefficients(lam, alpha, cutoff).coeffs
-        by_gamma = closed_form_bg_coefficients(p, alpha, cutoff).coeffs
+        by_gamma = closed_form_bg_coefficients(p, alpha, cutoff).state.coeffs
         worst = max(worst, float(np.max(np.abs(by_deformed - by_ladder))))
         worst = max(worst, float(np.max(np.abs(by_deformed - by_gamma))))
         zeta = zeta_from_alpha(alpha, f)

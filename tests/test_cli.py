@@ -83,6 +83,10 @@ class TestConfigErrors:
         assert main(["spectrum", "--param", "novalue", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
         for param in ("alpha_re=NaN", "alpha_im=-Infinity", "alpha_re=\"x\"", "zeta_re=NaN"):
             assert main(["coherent", "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        for param in ("tail_tol=NaN", "check_tol=NaN", "tail_tol=true"):
+            assert main(["coherent", "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        for param in ('lambdas=["x"]', "lambdas=[0.3]", "lambdas=[NaN]"):
+            assert main(["harmonic-limit", "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
     def test_bad_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -154,6 +158,14 @@ class TestChecksAndStatuses:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_TRUNCATION
         assert "truncation error" in capsys.readouterr().err
+        # a tail_tol below 1e-12 is applied as given; the tails at cutoff 64 are
+        # 6.2e-14 (factored) and 1.5e-13 (direct)
+        for method in ("displacement-direct", "displacement-factored"):
+            code = main(["coherent", "--param", f'method="{method}"', "--param", "cutoff=64",
+                         "--param", "alpha_re=1.9", "--param", "tail_tol=1e-14",
+                         "--out", str(tmp_path / method)])
+            assert code == EXIT_TRUNCATION
+            assert "truncation error" in capsys.readouterr().err
 
     def test_domain_exit_status(self, tmp_path, capsys, monkeypatch):
         # these tasks are undefined for the harmonic reference; the two that

@@ -117,22 +117,32 @@ class TestAnnihilationEigenstate:
 class TestClosedFormCoefficients:
     def test_tpt_first_ratio(self):
         p = ModelParams.tpt(2.0)
-        c = closed_form_bg_coefficients(p, 0.5, 16).coeffs
+        c = closed_form_bg_coefficients(p, 0.5, 16).state.coeffs
         assert c[1] / c[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_pseudoharmonic_first_ratio(self):
         p = ModelParams.pseudoharmonic(1.0)
-        c = closed_form_bg_coefficients(p, 1.0, 16).coeffs
+        c = closed_form_bg_coefficients(p, 1.0, 16).state.coeffs
         assert c[1] / c[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
 
     def test_zero_amplitude(self):
         p = ModelParams.pseudoharmonic(1.0)
-        assert np.array_equal(closed_form_bg_coefficients(p, 0.0, 8).coeffs,
+        assert np.array_equal(closed_form_bg_coefficients(p, 0.0, 8).state.coeffs,
                               FockVector.vacuum(8).coeffs)
 
     def test_harmonic_not_covered(self):
         with pytest.raises(DomainError):
             closed_form_bg_coefficients(ModelParams.harmonic(), 1.0, 8)
+
+    @pytest.mark.parametrize("p", [ModelParams.tpt(2.0), ModelParams.pseudoharmonic(1.5)])
+    def test_result_metadata(self, p):
+        alpha, cutoff = 1.3 * np.exp(0.4j), 32
+        res = closed_form_bg_coefficients(p, alpha, cutoff)
+        rec = annihilation_eigenstate(deformation_for(p), alpha, cutoff, tail_tol=1.0, max_cutoff=cutoff)
+        assert res.method is Method.ANNIHILATION_EIGENSTATE
+        assert res.model == p
+        assert res.normalization_constant == pytest.approx(rec.normalization_constant, rel=1e-12)
+        assert res.tail_mass == abs(res.state.coeffs[-1]) ** 2
 
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0])
     @pytest.mark.parametrize("amag", [0.5, 2.0, 4.0])
@@ -141,7 +151,7 @@ class TestClosedFormCoefficients:
         alpha = amag * np.exp(0.4j)
         rec = annihilation_eigenstate(tpt_deformation(p), alpha, 96, tail_tol=1.0, max_cutoff=96)
         closed = closed_form_bg_coefficients(p, alpha, 96)
-        assert np.max(np.abs(rec.state.coeffs - closed.coeffs)) < 1e-12
+        assert np.max(np.abs(rec.state.coeffs - closed.state.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("s", [0.75, 2.0, 10.0])
     @pytest.mark.parametrize("amag", [0.5, 2.0, 4.0])
@@ -151,7 +161,7 @@ class TestClosedFormCoefficients:
         rec = annihilation_eigenstate(pseudoharmonic_deformation(s), alpha, 96,
                                       tail_tol=1.0, max_cutoff=96)
         closed = closed_form_bg_coefficients(p, alpha, 96)
-        assert np.max(np.abs(rec.state.coeffs - closed.coeffs)) < 1e-12
+        assert np.max(np.abs(rec.state.coeffs - closed.state.coeffs)) < 1e-12
 
     # lam >= 3e4 is left out: gammaln cancellation there costs about 3e-11
     # (lam = 3e4) to 1e-9 (lam = 1e6) against the 50-digit reference
@@ -172,7 +182,7 @@ class TestClosedFormCoefficients:
                        for n in range(64)]
                 norm = mp.sqrt(mp.fsum(abs(v) ** 2 for v in raw))
                 ref = np.array([complex(v / norm) for v in raw])
-                got = closed_form_bg_coefficients(p, alpha, 64).coeffs
+                got = closed_form_bg_coefficients(p, alpha, 64).state.coeffs
                 assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_ladder_route_identical(self):
@@ -331,7 +341,7 @@ class TestDisplacementOperatorRoutes:
 
 class TestCompareStates:
     def test_equal_states(self):
-        c = closed_form_bg_coefficients(ModelParams.tpt(2.0), 0.5, 16)
+        c = closed_form_bg_coefficients(ModelParams.tpt(2.0), 0.5, 16).state
         assert compare_states(c, c) == (0.0, 0.0)
 
     def test_orthogonal_basis_states(self):
@@ -342,7 +352,7 @@ class TestCompareStates:
     def test_bg_and_displacement_families_differ(self):
         p = ModelParams.tpt(2.0)
         alpha = 0.5
-        bg = closed_form_bg_coefficients(p, alpha, 48)
+        bg = closed_form_bg_coefficients(p, alpha, 48).state
         disp = displacement_state_closed_form(p, zeta_from_alpha(alpha, TPT2), 48).state
         diff, infid = compare_states(bg, disp)
         assert diff > 1e-3
@@ -351,7 +361,7 @@ class TestCompareStates:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(phase=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_global_phase_invariance(self, phase):
-        u = closed_form_bg_coefficients(ModelParams.tpt(2.0), 0.7, 24)
+        u = closed_form_bg_coefficients(ModelParams.tpt(2.0), 0.7, 24).state
         v = FockVector(u.coeffs * np.exp(1j * phase))
         diff, infid = compare_states(u, v)
         assert diff < 1e-12
@@ -400,7 +410,7 @@ class TestHarmonicLimit:
         lam = 500.0
         (dev,) = harmonic_limit_deviation(1.0, [lam], 64)
         oracle = np.max(np.abs(
-            closed_form_bg_coefficients(ModelParams.tpt(lam), 1.0, 64).coeffs
+            closed_form_bg_coefficients(ModelParams.tpt(lam), 1.0, 64).state.coeffs
             - glauber_coefficients(1.0, 64).coeffs
         ))
         assert dev == pytest.approx(float(oracle), rel=1e-12)
@@ -420,7 +430,7 @@ class TestStructuralIdentity:
         b = tpt_ladder_coefficients(lam, alpha, 64)
         c = closed_form_bg_coefficients(p, alpha, 64)
         assert np.max(np.abs(a.state.coeffs - b.coeffs)) < 1e-12
-        assert np.max(np.abs(a.state.coeffs - c.coeffs)) < 1e-12
+        assert np.max(np.abs(a.state.coeffs - c.state.coeffs)) < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(

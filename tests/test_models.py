@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from defosc import (
     DomainError,
     ModelParams,
+    annihilation_eigenstate,
+    deformation_for,
     harmonic_deformation,
     pseudoharmonic_deformation,
     pseudoharmonic_energy,
@@ -145,6 +147,13 @@ class TestDeformations:
         assert g.bargmann_index == pytest.approx(2.0)  # s + 1/2
         with pytest.raises(DomainError):
             harmonic_deformation().su11_scale
+
+    @pytest.mark.parametrize("p", [ModelParams.tpt(2.0, a=1.5), ModelParams.pseudoharmonic(1.5),
+                                   ModelParams.harmonic(2.0)])
+    def test_deformation_carries_its_params(self, p):
+        f = deformation_for(p)
+        assert f.params == p
+        assert annihilation_eigenstate(f, 0.5, 32).model == p
 
 
 class TestSpectrumIdentity:
