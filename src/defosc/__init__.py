@@ -62,6 +62,7 @@ from .position import (
     Measure,
     OverlapResult,
     coherent_wavefunction,
+    gauss_rule,
     grid_for,
     ladder_action_fd,
     orthonormality_gram,

@@ -89,9 +89,11 @@ _CONFIG_DEFAULTS: dict[str, Any] = {
 }
 
 
-def _is_real(value: Any) -> bool:
-    # bool is an int subclass, but true/false is never a meaningful number here
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_real(value: Any) -> bool:
+    # bool is an int subclass, but true/false is never a meaningful number
+    # here; the bound rejects NaN, infinities and integers too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -151,18 +153,18 @@ class RunConfig:
         if not isinstance(s["cutoff"], int) or s["cutoff"] < 2:
             raise ConfigError(f"cutoff must be an integer >= 2, got {s['cutoff']!r}")
         for key in ("tail_tol", "check_tol"):
-            if not _is_real(s[key]) or not 0 < s[key] < math.inf:
+            if not _is_finite_real(s[key]) or not 0 < s[key]:
                 raise ConfigError(f"{key} must be a finite positive number, got {s[key]!r}")
         if not isinstance(s["grid_nodes"], int) or s["grid_nodes"] < 2:
             raise ConfigError(f"grid_nodes must be an integer >= 2, got {s['grid_nodes']!r}")
         if not isinstance(s["lambdas"], list) or not s["lambdas"]:
             raise ConfigError("lambdas must be a nonempty list")
-        if not all(_is_real(x) and 0.5 < x < math.inf for x in s["lambdas"]):
+        if not all(_is_finite_real(x) and 0.5 < x for x in s["lambdas"]):
             raise ConfigError(f"lambdas entries must be finite numbers above 1/2, got {s['lambdas']!r}")
         try:
             self.model_params()
             amplitudes = {"alpha": self.alpha, "zeta": self.zeta}
-        except (DomainError, TypeError, ValueError) as exc:
+        except (DomainError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         for name, value in amplitudes.items():
             if value is not None and not cmath.isfinite(value):
@@ -319,7 +321,7 @@ def _task_coherent(cfg: RunConfig):
     stats = cs.photon_statistics(result.state)
     checks = [
         _check("state-normalized", {"method": cfg.settings["method"]},
-               abs(result.state.norm() - 1.0), 1e-12),
+               abs(result.state.norm() - 1.0), cfg.settings["check_tol"]),
         _check("tail-below-tolerance", {"cutoff_used": result.state.cutoff},
                result.tail_mass, cfg.settings["tail_tol"]),
     ]
@@ -402,9 +404,12 @@ def _task_wavefunction(cfg: RunConfig):
     state = _build_state(cfg, cfg.settings["method"]).state
     occupied = np.nonzero(np.abs(state.coeffs) ** 2 > 1e-16)[0]
     n_eff = int(occupied[-1]) if occupied.size else 0
-    grid = position.grid_for(p, cfg.settings["grid_nodes"], n_eff, tail_tol=1e-12)
+    grid = position.grid_for(p, cfg.settings["grid_nodes"], n_eff)
     gf = position.coherent_wavefunction(state, grid, p)
-    norm, err = position.overlap_quadrature(gf, gf)
+    # the norm of the occupied levels, exact on the (n_eff+1)-node Gauss rule
+    head = fock.FockVector(state.coeffs[: n_eff + 1])
+    on_rule = position.coherent_wavefunction(head, position.gauss_rule(p, n_eff + 1), p)
+    norm, err = position.overlap_quadrature(on_rule, on_rule)
     norm = abs(norm)
     checks = [
         _check("wavefunction-norm", {"grid_nodes": cfg.settings["grid_nodes"]},

@@ -1,4 +1,4 @@
-"""Coordinate-space eigenfunctions, differential ladder checks, quadrature.
+"""Coordinate-space eigenfunctions, differential ladder checks, Gauss rules.
 
 TPT eigenfunctions are evaluated in the variable u = sin(ax) through a
 derivative-free three-term recurrence instead of general-order Legendre
@@ -28,6 +28,14 @@ squared radius of the planar problem, so the physical inner product
 carries the measure d(rho)/2 (that is r dr); with this measure the
 family above is orthonormal.
 
+Both families are psi_n = psi_0 q_n with q_n a multiple of C_n^(lam)(u) or
+L_n^(2s)(rho), computed by the same recurrences seeded with 1.  psi_0^2
+times the measure is the probability density of (1-u^2)^(lam-1/2) du or
+rho^(2s) e^(-rho) d(rho), whose Gauss rule from SciPy (Gegenbauer or
+generalized Laguerre) integrates every q_n q_m of its first ``order``
+levels exactly.  All inner products here are sums on such a rule; the
+Gauss-Legendre grids only place the points where eigenfunctions are sampled.
+
 Differential ladder operators are verified by central finite differences:
 the operator image of psi_n is least-squares fitted against psi_{n +/- 1}
 and the fitted coefficient compared with the analytic ladder amplitude.
@@ -38,10 +46,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import eval_genlaguerre, gammaln, roots_gegenbauer, roots_genlaguerre
 
 from .errors import DomainError, QuadratureError, SizeMismatchError
 from .fock import FockVector
@@ -54,6 +62,7 @@ __all__ = [
     "tpt_grid",
     "radial_grid",
     "grid_for",
+    "gauss_rule",
     "tpt_ground",
     "tpt_eigenfunctions",
     "pseudoharmonic_radials",
@@ -71,26 +80,24 @@ __all__ = [
 class Measure(Enum):
     #: dx = du / (a sqrt(1-u^2)) on u in (-1, 1)
     TPT_DX = "tpt-dx"
-    #: d(rho)/2 on rho in (0, rho_max): the planar r dr measure in the
+    #: d(rho)/2 on rho in (0, inf): the planar r dr measure in the
     #: squared-radius variable
     RADIAL_RHO = "radial-rho"
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature nodes and weights for one model measure.
+    """Points in the model variable (u for TPT, rho for the radial model).
 
-    ``weights`` integrate against the model measure directly, so
-    ``sum(w * f * g)`` approximates the physical inner product.
-    ``tail_bound`` bounds the part of the domain the nodes do not cover
-    (zero for the TPT grid, the analytic large-rho remainder for the
-    radial one).
+    Functions on a sample grid (``weights`` None) are sampled as they are.
+    On a :func:`gauss_rule` the weights are probabilities of psi_0^2 under
+    ``measure`` and functions are their polynomial part psi/psi_0, so
+    ``sum(w * conj(f) * g)`` is the physical inner product.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     measure: Measure
-    tail_bound: float = 0.0
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.nodes) <= 0):
@@ -99,7 +106,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Function samples on a quadrature grid."""
+    """Function samples on a grid (the polynomial part on a Gauss rule)."""
 
     grid: Grid
     values: np.ndarray
@@ -112,100 +119,72 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return self.grid.nodes
 
-    @property
-    def measure(self) -> Measure:
-        return self.grid.measure
-
 
 def tpt_grid(p: ModelParams, order: int = 256) -> Grid:
-    """Gauss-Legendre grid for the TPT measure.
-
-    Built in the coordinate x itself, where the measure is flat: with
-    x = (pi/2a) t and u = sin(ax) = sin((pi/2) t) the inner product
-    becomes a plain integral over t in (-1, 1), smooth except for the
-    algebraic endpoint factor (1-u^2)^lam, which Gauss-Legendre resolves
-    quickly for lam > 1/2.  Covers the whole domain: tail_bound = 0.
-    """
+    """Sample points u = sin(ax) = sin((pi/2) t) at the ``order`` Gauss-Legendre
+    nodes t of x = (pi/2a) t, spread over the whole well."""
     if p.model is not Model.TPT:
         raise DomainError(f"tpt_grid needs TPT parameters, got {p.model}")
     if order < 2:
         raise DomainError(f"need order >= 2, got {order}")
-    t, gw = np.polynomial.legendre.leggauss(order)
+    t, _ = np.polynomial.legendre.leggauss(order)
     u = np.sin((math.pi / 2.0) * t)
     largest = np.nextafter(1.0, 0.0)
     u = np.clip(u, -largest, largest)
-    weights = gw * (math.pi / (2.0 * p.a))
-    return Grid(nodes=u, weights=weights, measure=Measure.TPT_DX)
+    return Grid(nodes=u, measure=Measure.TPT_DX)
 
 
-def _laguerre_envelope_log(n: int, two_s: float, rho: float) -> float:
-    # log of sum_k C(n+2s, n-k) rho^k / k!, an absolute-value majorant of L_n^(2s)
-    terms = [
-        gammaln(n + two_s + 1.0)
-        - gammaln(k + two_s + 1.0)
-        - gammaln(n - k + 1.0)
-        - gammaln(k + 1.0)
-        + k * math.log(rho)
-        for k in range(n + 1)
-    ]
-    m = max(terms)
-    return m + math.log(sum(math.exp(t - m) for t in terms))
-
-
-def _radial_tail_bound(s: float, n_max: int, rho_max: float) -> float:
-    """Bound on the neglected integral beyond rho_max for any pair of the
-    first n_max+1 radial states."""
-    two_s = 2.0 * s
-    degree = two_s + 2.0 * n_max
-    if rho_max <= 2.0 * (degree + 1.0):
-        return math.inf
-    # envelope of |R_n R_m| at rho_max, maximized over n, m <= n_max
-    log_best = -math.inf
-    for n in range(n_max + 1):
-        log_norm = 0.5 * (math.log(2.0) + gammaln(n + 1.0) - gammaln(n + two_s + 1.0))
-        log_best = max(log_best, log_norm + _laguerre_envelope_log(n, two_s, rho_max))
-    log_h = 2.0 * log_best + two_s * math.log(rho_max) - rho_max
-    # beyond 2(degree+1) the envelope decays at least like e^(-rho/2),
-    # so the tail is bounded by 2 h(rho_max); the measure d(rho)/2 halves it
-    return math.exp(log_h + math.log(2.0)) / 2.0
-
-
-def radial_grid(s: float, n_max: int = 10, order: int = 256, tail_tol: float = 1e-12) -> Grid:
-    """Gauss-Legendre grid on (0, rho_max) for the planar radial measure.
-
-    rho_max is grown until the analytic bound on the neglected tail, valid
-    for every pair of the first n_max+1 states, drops below tail_tol.
-    """
+def radial_grid(s: float, n_max: int = 10, order: int = 256) -> Grid:
+    """Sample points at the ``order`` Gauss-Legendre nodes mapped to (0, rho_max),
+    rho_max = max(40, 8s + 8 n_max + 20), over twice the outer turning point
+    4 n_max + 2s + 2 of the first n_max+1 levels."""
     if s <= 0:
         raise DomainError(f"need s > 0, got {s}")
     if order < 2:
         raise DomainError(f"need order >= 2, got {order}")
     rho_max = max(40.0, 4.0 * (2.0 * s + 2.0 * n_max) + 20.0)
-    bound = _radial_tail_bound(s, n_max, rho_max)
-    while bound > tail_tol:
-        rho_max *= 1.5
-        if rho_max > 1e6:
-            raise QuadratureError(
-                f"could not bound the radial tail below {tail_tol:.1e} (s={s}, n_max={n_max})"
-            )
-        bound = _radial_tail_bound(s, n_max, rho_max)
-    t, gw = np.polynomial.legendre.leggauss(order)
+    t, _ = np.polynomial.legendre.leggauss(order)
     rho = (t + 1.0) * (rho_max / 2.0)
-    weights = gw * (rho_max / 2.0) * 0.5  # d(rho)/2
-    return Grid(nodes=rho, weights=weights, measure=Measure.RADIAL_RHO, tail_bound=bound)
+    return Grid(nodes=rho, measure=Measure.RADIAL_RHO)
 
 
-def grid_for(p: ModelParams, order: int, n_max: int, tail_tol: float) -> Grid:
-    """Quadrature grid of order ``order`` for the model's own measure.
-
-    The grid integrates products of the first n_max+1 eigenfunctions; for
-    the radial grid ``tail_tol`` bounds the neglected large-rho part.
-    """
+def grid_for(p: ModelParams, order: int, n_max: int) -> Grid:
+    """``order`` sample points for the model, covering the first n_max+1 levels."""
     if p.model is Model.TPT:
         return tpt_grid(p, order)
     if p.model is Model.PSEUDOHARMONIC:
-        return radial_grid(p.s, n_max=n_max, order=order, tail_tol=tail_tol)
+        return radial_grid(p.s, n_max=n_max, order=order)
     raise DomainError("coordinate-space grids exist for the TPT and pseudoharmonic models only")
+
+
+def gauss_rule(p: ModelParams, order: int) -> Grid:
+    """SciPy's Gauss rule for psi_0^2, exact for the first ``order`` levels.
+
+    Gauss-Gegenbauer at lam for TPT, generalized Gauss-Laguerre at 2s for the
+    radial model, with the weights scaled to sum to 1.  SciPy's Laguerre
+    weights carry Gamma(2s+1), infinite past 2s ~ 171, so they are formed
+    from SciPy's L_{order+1}^(2s) at the nodes, w_i ~ rho_i / L(rho_i)^2, in
+    log space.  A zero or non-finite weight or node raises QuadratureError:
+    Laguerre weights underflow past about 200 nodes, and SciPy's Gegenbauer
+    rule fails at large lam.
+    """
+    if order < 1:
+        raise DomainError(f"need order >= 1, got {order}")
+    with np.errstate(all="ignore"):
+        if p.model is Model.TPT:
+            nodes, w = roots_gegenbauer(order, p.lam)
+            measure = Measure.TPT_DX
+        elif p.model is Model.PSEUDOHARMONIC:
+            nodes, _ = roots_genlaguerre(order, 2.0 * p.s)
+            log_w = np.log(nodes) - 2.0 * np.log(np.abs(eval_genlaguerre(order + 1, 2.0 * p.s, nodes)))
+            w = np.exp(log_w - np.max(log_w))
+            measure = Measure.RADIAL_RHO
+        else:
+            raise DomainError("Gauss rules exist for the TPT and pseudoharmonic models only")
+        weights = w / np.sum(w)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights)) and np.all(weights > 0)):
+        raise QuadratureError(f"SciPy gave no valid {order}-node Gauss rule for {p}")
+    return Grid(nodes=nodes, measure=measure, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +210,19 @@ def tpt_ground(u, p: ModelParams):
     return float(vals) if vals.ndim == 0 else vals
 
 
+def _tpt_recurrence(n_max: int, u: np.ndarray, lam: float, seed) -> np.ndarray:
+    psi = np.zeros((n_max + 1, u.size))
+    psi[0] = seed
+    for n in range(n_max):
+        up = math.sqrt((lam + n) * (n + 1) / ((lam + n + 1) * (2 * lam + n)))
+        lead = 2.0 * (lam + n) * u * psi[n]
+        if n >= 1:
+            down = math.sqrt((lam + n) * (2 * lam + n - 1) / ((lam + n - 1) * n))
+            lead = lead - n * down * psi[n - 1]
+        psi[n + 1] = lead / ((2.0 * lam + n) * up)
+    return psi
+
+
 def tpt_eigenfunctions(n_max: int, u, p: ModelParams) -> np.ndarray:
     """psi_0 .. psi_{n_max} at the points u, by the derivative-free recurrence.
 
@@ -239,17 +231,7 @@ def tpt_eigenfunctions(n_max: int, u, p: ModelParams) -> np.ndarray:
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     uu = np.atleast_1d(_check_u(u))
-    lam = p.lam
-    psi = np.zeros((n_max + 1, uu.size))
-    psi[0] = tpt_ground(uu, p)
-    for n in range(n_max):
-        up = math.sqrt((lam + n) * (n + 1) / ((lam + n + 1) * (2 * lam + n)))
-        lead = 2.0 * (lam + n) * uu * psi[n]
-        if n >= 1:
-            down = math.sqrt((lam + n) * (2 * lam + n - 1) / ((lam + n - 1) * n))
-            lead = lead - n * down * psi[n - 1]
-        psi[n + 1] = lead / ((2.0 * lam + n) * up)
-    return psi
+    return _tpt_recurrence(n_max, uu, p.lam, tpt_ground(uu, p))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +243,18 @@ def _check_rho(rho) -> np.ndarray:
     if np.any(rho <= 0.0):
         raise DomainError("rho must be positive")
     return rho
+
+
+def _radial_recurrence(n_max: int, s: float, rho: np.ndarray, seed) -> np.ndarray:
+    two_s = 2.0 * s
+    out = np.zeros((n_max + 1, rho.size))
+    out[0] = seed
+    for k in range(n_max):
+        lead = (2.0 * k + two_s + 1.0 - rho) * out[k]
+        if k >= 1:
+            lead = lead - math.sqrt(k * (k + two_s)) * out[k - 1]
+        out[k + 1] = lead / math.sqrt((k + 1.0) * (k + two_s + 1.0))
+    return out
 
 
 def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
@@ -276,29 +270,27 @@ def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     rr = np.atleast_1d(_check_rho(rho))
-    two_s = 2.0 * s
-    out = np.zeros((n_max + 1, rr.size))
-    out[0] = np.exp(0.5 * (math.log(2.0) - gammaln(two_s + 1.0)) + s * np.log(rr) - rr / 2.0)
-    for k in range(n_max):
-        lead = (2.0 * k + two_s + 1.0 - rr) * out[k]
-        if k >= 1:
-            lead = lead - math.sqrt(k * (k + two_s)) * out[k - 1]
-        out[k + 1] = lead / math.sqrt((k + 1.0) * (k + two_s + 1.0))
-    return out
+    seed = np.exp(0.5 * (math.log(2.0) - gammaln(2.0 * s + 1.0)) + s * np.log(rr) - rr / 2.0)
+    return _radial_recurrence(n_max, s, rr, seed)
 
 
-def _family(p: ModelParams) -> Callable[[int, np.ndarray], np.ndarray]:
+def _levels(n_max: int, grid: Grid, p: ModelParams) -> np.ndarray:
+    # psi_0 .. psi_{n_max} on a sample grid, their polynomial parts on a rule
+    x, rule = grid.nodes, grid.weights is not None
     if p.model is Model.TPT:
-        return lambda n_max, x: tpt_eigenfunctions(n_max, x, p)
+        if rule:
+            return _tpt_recurrence(n_max, x, p.lam, 1.0)
+        return tpt_eigenfunctions(n_max, x, p)
     if p.model is Model.PSEUDOHARMONIC:
-        return lambda n_max, x: pseudoharmonic_radials(n_max, p.s, x)
+        if rule:
+            return _radial_recurrence(n_max, p.s, x, 1.0)
+        return pseudoharmonic_radials(n_max, p.s, x)
     raise DomainError("coordinate-space families exist for the TPT and pseudoharmonic models only")
 
 
 def sample_eigenfunction(n: int, grid: Grid, p: ModelParams) -> GridFunction:
-    """Eigenfunction number n sampled on a quadrature grid."""
-    vals = _family(p)(n, grid.nodes)[n]
-    return GridFunction(grid=grid, values=vals)
+    """Eigenfunction number n on a grid (its polynomial part on a Gauss rule)."""
+    return GridFunction(grid=grid, values=_levels(n, grid, p)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -403,65 +395,56 @@ class OverlapResult(NamedTuple):
 
 
 def overlap_quadrature(fa: GridFunction, fb: GridFunction) -> OverlapResult:
-    """<fa|fb> over the model measure, with an error estimate.
+    """<fa|fb> over the model measure on a Gauss rule, with an error estimate.
 
-    The estimate combines the grid's analytic tail bound with a roundoff
-    allowance on the weighted sum; it does not include the quadrature
-    truncation of the rule itself, which the node-doubling construction
-    in :func:`orthonormality_gram` controls.
+    The rule is exact when both functions lie in the span of the levels it
+    covers, so the estimate is only a roundoff allowance on the weighted sum.
     """
     if fa.grid.measure is not fb.grid.measure:
         raise SizeMismatchError("grid measures differ")
     if fa.nodes.shape != fb.nodes.shape or not np.array_equal(fa.nodes, fb.nodes):
         raise SizeMismatchError("grids have different nodes")
     w = fa.grid.weights
+    if w is None:
+        raise DomainError("a sample grid has no weights; integrate on a gauss_rule grid")
     integrand = np.conj(fa.values) * fb.values
     value = np.sum(w * integrand)
-    roundoff = 32.0 * np.finfo(float).eps * float(np.sum(np.abs(w * integrand)))
-    err = fa.grid.tail_bound + roundoff
+    err = 32.0 * np.finfo(float).eps * float(np.sum(np.abs(w * integrand)))
     if not (np.iscomplexobj(fa.values) or np.iscomplexobj(fb.values)):
         return OverlapResult(float(value.real), err)
     return OverlapResult(complex(value), err)
 
 
 def coherent_wavefunction(c: FockVector, grid: Grid, p: ModelParams) -> GridFunction:
-    """Coordinate-space synthesis sum_n c_n psi_n on a quadrature grid."""
+    """Coordinate-space synthesis sum_n c_n psi_n on a grid (sum_n c_n q_n on a rule)."""
     if abs(c.norm() - 1.0) > 1e-9:
         raise DomainError(f"coherent_wavefunction expects a normalized state; norm = {c.norm()!r}")
-    fam = _family(p)(c.cutoff - 1, grid.nodes)
-    values = c.coeffs @ fam
+    values = c.coeffs @ _levels(c.cutoff - 1, grid, p)
     if np.allclose(values.imag, 0.0, atol=0.0):
         values = values.real
     return GridFunction(grid=grid, values=values)
 
 
-def orthonormality_gram(
-    p: ModelParams,
-    n_max: int = 10,
-    tol: float = 1e-12,
-    start_order: int = 64,
-    max_order: int = 65536,
-) -> tuple[np.ndarray, float, int]:
-    """Gram matrix of the first n_max+1 eigenfunctions by quadrature.
+def orthonormality_gram(p: ModelParams, n_max: int = 10, tol: float = 1e-12,
+                        max_order: int = 65536) -> tuple[np.ndarray, float, int]:
+    """Gram matrix of the first n_max+1 eigenfunctions on the n_max+1 node Gauss rule.
 
-    The quadrature order is doubled until two successive estimates agree
-    to ``tol`` in the max-entry norm.  Returns (gram, last difference,
-    order used).
+    That rule is exact, so the rule with one node more must give the same
+    matrix; their max-entry difference must not exceed ``tol``.  Returns
+    (gram, difference, n_max+1).
     """
-    def build(order: int) -> np.ndarray:
-        grid = grid_for(p, order, n_max, tol)
-        fam = _family(p)(n_max, grid.nodes)
-        return (fam * grid.weights) @ fam.T
+    if n_max + 2 > max_order:
+        raise QuadratureError(f"the Gram check needs {n_max + 2} nodes > max_order {max_order}")
 
-    order = start_order
-    prev = build(order)
-    while order <= max_order:
-        order *= 2
-        cur = build(order)
-        diff = float(np.max(np.abs(cur - prev)))
-        if diff <= tol:
-            return cur, diff, order
-        prev = cur
-    raise QuadratureError(
-        f"Gram matrix did not converge to {tol:.1e} below order {max_order}"
-    )
+    def build(order: int) -> np.ndarray:
+        rule = gauss_rule(p, order)
+        q = _levels(n_max, rule, p)
+        return (q * rule.weights) @ q.T
+
+    gram = build(n_max + 1)
+    diff = float(np.max(np.abs(build(n_max + 2) - gram)))
+    if not diff <= tol:
+        raise QuadratureError(
+            f"Gram matrices on {n_max + 1} and {n_max + 2} nodes differ by {diff:.1e} > {tol:.1e}"
+        )
+    return gram, diff, n_max + 1

@@ -87,6 +87,11 @@ class TestConfigErrors:
             assert main(["coherent", "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
         for param in ('lambdas=["x"]', "lambdas=[0.3]", "lambdas=[NaN]"):
             assert main(["harmonic-limit", "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        # JSON integers too large for a float
+        huge = "1" + "0" * 400
+        for task, param in (("spectrum", f"lambda={huge}"), ("coherent", f"alpha_re={huge}"),
+                            ("harmonic-limit", f"lambdas=[{huge}]")):
+            assert main([task, "--param", param, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
     def test_bad_json_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -219,6 +224,14 @@ class TestCoherentTask:
         assert reports["annihilation-closed-form"]["normalization_constant"] == pytest.approx(
             reports["annihilation"]["normalization_constant"], rel=1e-12)
 
+    def test_check_tol_applied(self, tmp_path):
+        out = str(tmp_path / "r")
+        assert main(["coherent", "--param", "check_tol=1e-300", "--out", out]) == EXIT_CHECK_FAILED
+        report = json.loads(read(os.path.join(out, "report.json")))
+        checks = {c["id"]: c for c in report["checks"]}
+        assert checks["state-normalized"]["tolerance"] == 1e-300
+        assert not checks["state-normalized"]["passed"]
+
     def test_explicit_zeta(self, tmp_path):
         out = str(tmp_path / "r")
         assert main(["coherent", "--param", 'method="displacement"', "--param", "zeta_re=0.5",
@@ -262,6 +275,14 @@ class TestOtherTasks:
                      "--param", "grid_nodes=256", "--out", out]) == EXIT_OK
         report = json.loads(read(os.path.join(out, "report.json")))
         assert abs(report["quadrature_norm"] - 1.0) < 1e-6
+
+    def test_wavefunction_pseudoharmonic_small_s(self, tmp_path):
+        # non-integer 2s < 3: the adaptive Gauss-Legendre norm was off by 1.0e-6
+        out = str(tmp_path / "r")
+        assert main(["wavefunction", "--param", 'model="pseudoharmonic"',
+                     "--param", "s=0.5771074864666221", "--param", "alpha_re=2.469356972299063",
+                     "--param", "alpha_im=-0.31051357808916485", "--param", "check_tol=1e-8",
+                     "--out", out]) == EXIT_OK
 
     def test_harmonic_limit(self, tmp_path):
         out = str(tmp_path / "r")

@@ -1,8 +1,10 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from defosc import (
     DomainError,
@@ -13,6 +15,7 @@ from defosc import (
     SizeMismatchError,
     annihilation_eigenstate,
     coherent_wavefunction,
+    gauss_rule,
     ladder_action_fd,
     orthonormality_gram,
     overlap_quadrature,
@@ -48,10 +51,11 @@ class TestTptGround:
 
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0])
     def test_unit_norm_by_quadrature(self, lam):
+        # adaptive quadrature in x, independent of the Gauss rules, whose
+        # weights take the normalization as given
         p = ModelParams.tpt(lam, 1.0)
-        grid = tpt_grid(p, 600)
-        gf = sample_eigenfunction(0, grid, p)
-        val, err = overlap_quadrature(gf, gf)
+        val, _ = quad(lambda x: tpt_ground(math.sin(x), p) ** 2, -math.pi / 2, math.pi / 2,
+                      epsabs=1e-13, epsrel=1e-13)
         assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -74,8 +78,7 @@ class TestTptEigenfunctions:
     @pytest.mark.parametrize("n", range(0, 11, 2))
     def test_unit_norm_by_quadrature(self, n):
         p = ModelParams.tpt(2.0, 1.0)
-        grid = tpt_grid(p, 800)
-        gf = sample_eigenfunction(n, grid, p)
+        gf = sample_eigenfunction(n, gauss_rule(p, n + 1), p)
         val, _ = overlap_quadrature(gf, gf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -154,10 +157,10 @@ class TestPseudoharmonicRadial:
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 2), (1, 4), (6, 6), (3, 6)])
     def test_orthonormality_pairs(self, n, m):
-        s = 1.0
-        grid = radial_grid(s, n_max=6, order=512)
-        fa = sample_eigenfunction(n, grid, ModelParams.pseudoharmonic(s))
-        fb = sample_eigenfunction(m, grid, ModelParams.pseudoharmonic(s))
+        p = ModelParams.pseudoharmonic(1.0)
+        rule = gauss_rule(p, 7)
+        fa = sample_eigenfunction(n, rule, p)
+        fb = sample_eigenfunction(m, rule, p)
         val, err = overlap_quadrature(fa, fb)
         assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
 
@@ -240,19 +243,25 @@ class TestOverlapQuadrature:
 
     def test_parity_orthogonality(self):
         p = ModelParams.tpt(2.0, 1.0)
-        grid = tpt_grid(p, 400)
+        grid = gauss_rule(p, 400)
         f0 = sample_eigenfunction(0, grid, p)
         f1 = sample_eigenfunction(1, grid, p)
         val, _ = overlap_quadrature(f0, f1)
         assert abs(val) < 1e-12
 
-    def test_radial_error_estimate_includes_tail(self):
-        grid = radial_grid(1.0, n_max=4, order=128, tail_tol=1e-12)
-        assert 0.0 < grid.tail_bound <= 1e-12
+    def test_radial_error_estimate_is_roundoff(self):
+        # the rule is exact, so nothing but roundoff is left to estimate
         p = ModelParams.pseudoharmonic(1.0)
-        fa = sample_eigenfunction(0, grid, p)
-        _, err = overlap_quadrature(fa, fa)
-        assert err >= grid.tail_bound
+        fa = sample_eigenfunction(4, gauss_rule(p, 5), p)
+        val, err = overlap_quadrature(fa, fa)
+        assert 0.0 < err < 1e-13
+        assert val == pytest.approx(1.0, abs=1e-13)
+
+    def test_sample_grid_has_no_weights(self):
+        p = ModelParams.pseudoharmonic(1.0)
+        fa = sample_eigenfunction(0, radial_grid(1.0, 4, 64), p)
+        with pytest.raises(DomainError):
+            overlap_quadrature(fa, fa)
 
 
 class TestGramMatrices:
@@ -265,6 +274,54 @@ class TestGramMatrices:
     def test_pseudoharmonic(self, s):
         gram, _, _ = orthonormality_gram(ModelParams.pseudoharmonic(s), n_max=10)
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
+
+    # Inputs that Gauss-Legendre with order doubling could not integrate:
+    # QuadratureError at the benchmark's max_order for the first two, and
+    # MemoryError after about eight minutes for the third.
+    def test_tpt_near_lower_bound(self):
+        gram, _, _ = orthonormality_gram(ModelParams.tpt(0.6, 1.0), n_max=40, max_order=1024)
+        assert np.max(np.abs(gram - np.eye(41))) < 1e-8
+
+    def test_pseudoharmonic_non_integer_2s(self):
+        p = ModelParams.pseudoharmonic(0.618)
+        gram, _, _ = orthonormality_gram(p, n_max=10, max_order=1024)
+        assert np.max(np.abs(gram - np.eye(11))) < 1e-8
+
+    def test_pseudoharmonic_n_max_100(self):
+        budget = 5.0
+        start = time.perf_counter()
+        gram, _, _ = orthonormality_gram(ModelParams.pseudoharmonic(0.5), n_max=100)
+        assert time.perf_counter() - start <= budget
+        assert np.max(np.abs(gram - np.eye(101))) < 1e-8
+
+    def test_call_shape(self):
+        # one rule at n_max+1 nodes, compared with the rule at n_max+2
+        gram, diff, order = orthonormality_gram(ModelParams.tpt(2.0, 1.0), n_max=10, max_order=12)
+        assert order == 11 and 0.0 <= diff <= 1e-12
+        with pytest.raises(QuadratureError):
+            orthonormality_gram(ModelParams.tpt(2.0, 1.0), n_max=10, max_order=11)
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("s", [85.5, 150.0, 200.0, 1000.0])
+    def test_large_s_weights_in_log_space(self, s):
+        # SciPy's Laguerre weights carry Gamma(2s+1), infinite past 2s ~ 171
+        gram, _, _ = orthonormality_gram(ModelParams.pseudoharmonic(s), n_max=100)
+        assert np.max(np.abs(gram - np.eye(101))) <= 5e-13
+
+    def test_underflowed_weight_rejected(self):
+        # at about 200 nodes the outermost Laguerre weight underflows to 0,
+        # which left |G - I| = 0.16 at n_max = 200
+        p = ModelParams.pseudoharmonic(3.0)
+        with pytest.raises(QuadratureError):
+            gauss_rule(p, 201)
+        with pytest.raises(QuadratureError):
+            orthonormality_gram(p, n_max=200)
+
+    def test_invalid_gegenbauer_rule_rejected(self):
+        # SciPy's nodes turn NaN here, with a RuntimeWarning that must not escape
+        with pytest.raises(QuadratureError):
+            gauss_rule(ModelParams.tpt(1e4, 1.0), 201)
 
 
 class TestCoherentWavefunction:
@@ -280,8 +337,7 @@ class TestCoherentWavefunction:
         p = ModelParams.tpt(2.0, 1.0)
         f = tpt_deformation(p)
         state = annihilation_eigenstate(f, 0.5, 48).state
-        grid = tpt_grid(p, 600)
-        gf = coherent_wavefunction(state, grid, p)
+        gf = coherent_wavefunction(state, gauss_rule(p, state.cutoff), p)
         val, _ = overlap_quadrature(gf, gf)
         assert abs(val) == pytest.approx(1.0, abs=1e-6)
 
@@ -294,3 +350,5 @@ class TestCoherentWavefunction:
         p = ModelParams.tpt(2.0, 1.0)
         assert tpt_grid(p, 64).measure is Measure.TPT_DX
         assert radial_grid(1.0, 4, 64).measure is Measure.RADIAL_RHO
+        assert gauss_rule(p, 3).measure is Measure.TPT_DX
+        assert gauss_rule(ModelParams.pseudoharmonic(1.0), 3).measure is Measure.RADIAL_RHO
