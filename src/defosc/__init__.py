@@ -56,23 +56,14 @@ from .coherent import (
     zeta_from_alpha,
 )
 from .position import (
-    Grid,
-    GridFunction,
     LadderFit,
-    Measure,
-    OverlapResult,
     coherent_wavefunction,
-    gauss_rule,
-    grid_for,
+    gauss_levels,
     ladder_action_fd,
     orthonormality_gram,
-    overlap_quadrature,
-    pseudoharmonic_ladder_fd,
     pseudoharmonic_radials,
-    radial_grid,
-    sample_eigenfunction,
+    sample_points,
     tpt_eigenfunctions,
-    tpt_grid,
     tpt_ground,
 )
 

@@ -404,19 +404,17 @@ def _task_wavefunction(cfg: RunConfig):
     state = _build_state(cfg, cfg.settings["method"]).state
     occupied = np.nonzero(np.abs(state.coeffs) ** 2 > 1e-16)[0]
     n_eff = int(occupied[-1]) if occupied.size else 0
-    grid = position.grid_for(p, cfg.settings["grid_nodes"], n_eff)
-    gf = position.coherent_wavefunction(state, grid, p)
+    nodes = position.sample_points(p, cfg.settings["grid_nodes"], n_eff)
+    vals = np.asarray(position.coherent_wavefunction(state, nodes, p), dtype=complex)
     # the norm of the occupied levels, exact on the (n_eff+1)-node Gauss rule
-    head = fock.FockVector(state.coeffs[: n_eff + 1])
-    on_rule = position.coherent_wavefunction(head, position.gauss_rule(p, n_eff + 1), p)
-    norm, err = position.overlap_quadrature(on_rule, on_rule)
-    norm = abs(norm)
+    on_rule = state.coeffs[: n_eff + 1] @ position.gauss_levels(p, n_eff, n_eff + 1)
+    norm = float(np.vdot(on_rule, on_rule).real)
+    err = 32.0 * np.finfo(float).eps * norm
     checks = [
         _check("wavefunction-norm", {"grid_nodes": cfg.settings["grid_nodes"]},
                abs(norm - 1.0), cfg.settings["check_tol"]),
     ]
-    vals = np.asarray(gf.values, dtype=complex)
-    rows = [[float(gf.nodes[i]), float(vals[i].real), float(vals[i].imag)] for i in range(gf.nodes.size)]
+    rows = [[float(nodes[i]), float(vals[i].real), float(vals[i].imag)] for i in range(nodes.size)]
     extras = {"quadrature_norm": norm, "quadrature_error_estimate": err}
     return ["node", "psi_re", "psi_im"], rows, checks, extras
 

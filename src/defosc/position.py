@@ -29,12 +29,14 @@ carries the measure d(rho)/2 (that is r dr); with this measure the
 family above is orthonormal.
 
 Both families are psi_n = psi_0 q_n with q_n a multiple of C_n^(lam)(u) or
-L_n^(2s)(rho), computed by the same recurrences seeded with 1.  psi_0^2
-times the measure is the probability density of (1-u^2)^(lam-1/2) du or
-rho^(2s) e^(-rho) d(rho), whose Gauss rule from SciPy (Gegenbauer or
-generalized Laguerre) integrates every q_n q_m of its first ``order``
-levels exactly.  All inner products here are sums on such a rule; the
-Gauss-Legendre grids only place the points where eigenfunctions are sampled.
+L_n^(2s)(rho).  psi_0^2 times the measure is the probability density of
+(1-u^2)^(lam-1/2) du or rho^(2s) e^(-rho) d(rho), whose Gauss rule from
+SciPy (Gegenbauer or generalized Laguerre) integrates every q_n q_m of its
+first ``order`` levels exactly.  :func:`gauss_levels` returns the rule as
+one matrix Q[n, i] = sqrt(w_i) q_n(x_i), the same recurrences seeded with
+sqrt(w) instead of psi_0, so every inner product is a dot product of its
+rows.  The Gauss-Legendre points of :func:`sample_points` only place the
+points where eigenfunctions are sampled.
 
 Differential ladder operators are verified by central finite differences:
 the operator image of psi_n is least-squares fitted against psi_{n +/- 1}
@@ -44,157 +46,38 @@ and the fitted coefficient compared with the analytic ladder amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_gegenbauer, roots_genlaguerre
 
-from .errors import DomainError, QuadratureError, SizeMismatchError
+from .errors import DomainError, QuadratureError
 from .fock import FockVector
 from .models import Model, ModelParams
 
 __all__ = [
-    "Measure",
-    "Grid",
-    "GridFunction",
-    "tpt_grid",
-    "radial_grid",
-    "grid_for",
-    "gauss_rule",
     "tpt_ground",
     "tpt_eigenfunctions",
     "pseudoharmonic_radials",
-    "sample_eigenfunction",
+    "sample_points",
+    "gauss_levels",
+    "coherent_wavefunction",
     "LadderFit",
     "ladder_action_fd",
-    "pseudoharmonic_ladder_fd",
-    "OverlapResult",
-    "overlap_quadrature",
-    "coherent_wavefunction",
     "orthonormality_gram",
 ]
 
-
-class Measure(Enum):
-    #: dx = du / (a sqrt(1-u^2)) on u in (-1, 1)
-    TPT_DX = "tpt-dx"
-    #: d(rho)/2 on rho in (0, inf): the planar r dr measure in the
-    #: squared-radius variable
-    RADIAL_RHO = "radial-rho"
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Points in the model variable (u for TPT, rho for the radial model).
-
-    Functions on a sample grid (``weights`` None) are sampled as they are.
-    On a :func:`gauss_rule` the weights are probabilities of psi_0^2 under
-    ``measure`` and functions are their polynomial part psi/psi_0, so
-    ``sum(w * conj(f) * g)`` is the physical inner product.
-    """
-
-    nodes: np.ndarray
-    measure: Measure
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if np.any(np.diff(self.nodes) <= 0):
-            raise DomainError("grid nodes must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function samples on a grid (the polynomial part on a Gauss rule)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.grid.nodes.shape:
-            raise SizeMismatchError("values and nodes have different shapes")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes
-
-
-def tpt_grid(p: ModelParams, order: int = 256) -> Grid:
-    """Sample points u = sin(ax) = sin((pi/2) t) at the ``order`` Gauss-Legendre
-    nodes t of x = (pi/2a) t, spread over the whole well."""
-    if p.model is not Model.TPT:
-        raise DomainError(f"tpt_grid needs TPT parameters, got {p.model}")
-    if order < 2:
-        raise DomainError(f"need order >= 2, got {order}")
-    t, _ = np.polynomial.legendre.leggauss(order)
-    u = np.sin((math.pi / 2.0) * t)
-    largest = np.nextafter(1.0, 0.0)
-    u = np.clip(u, -largest, largest)
-    return Grid(nodes=u, measure=Measure.TPT_DX)
-
-
-def radial_grid(s: float, n_max: int = 10, order: int = 256) -> Grid:
-    """Sample points at the ``order`` Gauss-Legendre nodes mapped to (0, rho_max),
-    rho_max = max(40, 8s + 8 n_max + 20), over twice the outer turning point
-    4 n_max + 2s + 2 of the first n_max+1 levels."""
-    if s <= 0:
-        raise DomainError(f"need s > 0, got {s}")
-    if order < 2:
-        raise DomainError(f"need order >= 2, got {order}")
-    rho_max = max(40.0, 4.0 * (2.0 * s + 2.0 * n_max) + 20.0)
-    t, _ = np.polynomial.legendre.leggauss(order)
-    rho = (t + 1.0) * (rho_max / 2.0)
-    return Grid(nodes=rho, measure=Measure.RADIAL_RHO)
-
-
-def grid_for(p: ModelParams, order: int, n_max: int) -> Grid:
-    """``order`` sample points for the model, covering the first n_max+1 levels."""
-    if p.model is Model.TPT:
-        return tpt_grid(p, order)
-    if p.model is Model.PSEUDOHARMONIC:
-        return radial_grid(p.s, n_max=n_max, order=order)
-    raise DomainError("coordinate-space grids exist for the TPT and pseudoharmonic models only")
-
-
-def gauss_rule(p: ModelParams, order: int) -> Grid:
-    """SciPy's Gauss rule for psi_0^2, exact for the first ``order`` levels.
-
-    Gauss-Gegenbauer at lam for TPT, generalized Gauss-Laguerre at 2s for the
-    radial model, with the weights scaled to sum to 1.  SciPy's Laguerre
-    weights carry Gamma(2s+1), infinite past 2s ~ 171, so they are formed
-    from SciPy's L_{order+1}^(2s) at the nodes, w_i ~ rho_i / L(rho_i)^2, in
-    log space.  A zero or non-finite weight or node raises QuadratureError:
-    Laguerre weights underflow past about 200 nodes, and SciPy's Gegenbauer
-    rule fails at large lam.
-    """
-    if order < 1:
-        raise DomainError(f"need order >= 1, got {order}")
-    with np.errstate(all="ignore"):
-        if p.model is Model.TPT:
-            nodes, w = roots_gegenbauer(order, p.lam)
-            measure = Measure.TPT_DX
-        elif p.model is Model.PSEUDOHARMONIC:
-            nodes, _ = roots_genlaguerre(order, 2.0 * p.s)
-            log_w = np.log(nodes) - 2.0 * np.log(np.abs(eval_genlaguerre(order + 1, 2.0 * p.s, nodes)))
-            w = np.exp(log_w - np.max(log_w))
-            measure = Measure.RADIAL_RHO
-        else:
-            raise DomainError("Gauss rules exist for the TPT and pseudoharmonic models only")
-        weights = w / np.sum(w)
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights)) and np.all(weights > 0)):
-        raise QuadratureError(f"SciPy gave no valid {order}-node Gauss rule for {p}")
-    return Grid(nodes=nodes, measure=measure, weights=weights)
+_NO_FAMILY = "coordinate-space families exist for the TPT and pseudoharmonic models only"
 
 
 # ---------------------------------------------------------------------------
 # TPT eigenfunctions
 
 
-def _check_u(u: np.ndarray) -> np.ndarray:
+def _check_u(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.any(np.abs(u) >= 1.0):
-        raise DomainError("u must lie strictly inside (-1, 1)")
+    if not np.all(np.abs(u) < 1.0):
+        raise DomainError("u must be finite and lie strictly inside (-1, 1)")
     return u
 
 
@@ -240,8 +123,8 @@ def tpt_eigenfunctions(n_max: int, u, p: ModelParams) -> np.ndarray:
 
 def _check_rho(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
-        raise DomainError("rho must be positive")
+    if not np.all((rho > 0.0) & (rho < math.inf)):
+        raise DomainError("rho must be positive and finite")
     return rho
 
 
@@ -257,7 +140,7 @@ def _radial_recurrence(n_max: int, s: float, rho: np.ndarray, seed) -> np.ndarra
     return out
 
 
-def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
+def pseudoharmonic_radials(n_max: int, rho, p: ModelParams) -> np.ndarray:
     """R_0 .. R_{n_max} at the points rho, shape (n_max+1, len(rho)).
 
     The Laguerre recurrence rescaled to the normalized functions, which
@@ -265,32 +148,121 @@ def pseudoharmonic_radials(n_max: int, s: float, rho) -> np.ndarray:
     sqrt((k+1)(k+2s+1)) R_{k+1} = (2k+2s+1-rho) R_k - sqrt(k(k+2s)) R_{k-1},
     from R_0 = sqrt(2/Gamma(2s+1)) rho^s e^(-rho/2) formed in log space.
     """
-    if s <= 0:
-        raise DomainError(f"need s > 0, got {s}")
+    if p.model is not Model.PSEUDOHARMONIC:
+        raise DomainError(f"pseudoharmonic_radials needs pseudoharmonic parameters, got {p.model}")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     rr = np.atleast_1d(_check_rho(rho))
+    s = p.s
     seed = np.exp(0.5 * (math.log(2.0) - gammaln(2.0 * s + 1.0)) + s * np.log(rr) - rr / 2.0)
     return _radial_recurrence(n_max, s, rr, seed)
 
 
-def _levels(n_max: int, grid: Grid, p: ModelParams) -> np.ndarray:
-    # psi_0 .. psi_{n_max} on a sample grid, their polynomial parts on a rule
-    x, rule = grid.nodes, grid.weights is not None
+def _family(p: ModelParams):
     if p.model is Model.TPT:
-        if rule:
-            return _tpt_recurrence(n_max, x, p.lam, 1.0)
-        return tpt_eigenfunctions(n_max, x, p)
+        return tpt_eigenfunctions
     if p.model is Model.PSEUDOHARMONIC:
-        if rule:
-            return _radial_recurrence(n_max, p.s, x, 1.0)
-        return pseudoharmonic_radials(n_max, p.s, x)
-    raise DomainError("coordinate-space families exist for the TPT and pseudoharmonic models only")
+        return pseudoharmonic_radials
+    raise DomainError(_NO_FAMILY)
 
 
-def sample_eigenfunction(n: int, grid: Grid, p: ModelParams) -> GridFunction:
-    """Eigenfunction number n on a grid (its polynomial part on a Gauss rule)."""
-    return GridFunction(grid=grid, values=_levels(n, grid, p)[n])
+# ---------------------------------------------------------------------------
+# Sample points and Gauss rules
+
+
+def sample_points(p: ModelParams, order: int, n_max: int) -> np.ndarray:
+    """``order`` points in the model variable, placed at Gauss-Legendre nodes t.
+
+    TPT: u = sin((pi/2) t), the nodes of x = (pi/2a) t over the whole well,
+    kept strictly inside (-1, 1).  Pseudoharmonic: rho = (t+1) rho_max/2 with
+    rho_max = max(40, 8s + 8 n_max + 20), twice the outer turning point
+    4 n_max + 2s + 2 of the first n_max+1 levels.
+    """
+    if order < 2:
+        raise DomainError(f"need order >= 2, got {order}")
+    t, _ = np.polynomial.legendre.leggauss(order)
+    if p.model is Model.TPT:
+        largest = np.nextafter(1.0, 0.0)
+        return np.clip(np.sin((math.pi / 2.0) * t), -largest, largest)
+    if p.model is Model.PSEUDOHARMONIC:
+        rho_max = max(40.0, 4.0 * (2.0 * p.s + 2.0 * n_max) + 20.0)
+        return (t + 1.0) * (rho_max / 2.0)
+    raise DomainError(_NO_FAMILY)
+
+
+def gauss_levels(p: ModelParams, n_max: int, order: int) -> np.ndarray:
+    """Levels 0..n_max on SciPy's ``order``-node Gauss rule for psi_0^2.
+
+    Returns Q of shape (n_max+1, order), Q[n, i] = sqrt(w_i) psi_n(x_i)/psi_0(x_i)
+    with w the rule's weights scaled to sum to 1, so Q[n] . Q[m] is the
+    inner product <psi_n|psi_m>, exact for n + m < 2 order.  The rule is
+    Gauss-Gegenbauer at lam for TPT and generalized Gauss-Laguerre at 2s for
+    the radial model.  Its weights are formed and normalized in log space:
+    SciPy's Laguerre weights carry Gamma(2s+1), infinite past 2s ~ 171, so
+    they are formed from SciPy's L_{order+1}^(2s) at the nodes,
+    w_i ~ rho_i / L(rho_i)^2.  A non-finite node or log-weight, or a
+    sqrt(w) below the smallest normal float, raises QuadratureError:
+    SciPy's Gegenbauer rule fails at large lam, and the Laguerre rule past
+    about 360 levels.
+    """
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
+    if order < 1:
+        raise DomainError(f"need order >= 1, got {order}")
+    with np.errstate(all="ignore"):
+        if p.model is Model.TPT:
+            x, w = roots_gegenbauer(order, p.lam)
+            log_w = np.log(w)
+        elif p.model is Model.PSEUDOHARMONIC:
+            x, _ = roots_genlaguerre(order, 2.0 * p.s)
+            log_w = np.log(x) - 2.0 * np.log(np.abs(eval_genlaguerre(order + 1, 2.0 * p.s, x)))
+        else:
+            raise DomainError(_NO_FAMILY)
+        log_w = log_w - np.max(log_w)
+        root_w = np.exp(0.5 * (log_w - np.log(np.sum(np.exp(log_w)))))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(log_w))
+            and np.all(root_w >= np.finfo(float).tiny)):
+        raise QuadratureError(f"SciPy gave no valid {order}-node Gauss rule for {p}")
+    if p.model is Model.TPT:
+        return _tpt_recurrence(n_max, x, p.lam, root_w)
+    return _radial_recurrence(n_max, p.s, x, root_w)
+
+
+def coherent_wavefunction(c: FockVector, x, p: ModelParams) -> np.ndarray:
+    """Coordinate-space synthesis sum_n c_n psi_n at the points x, real if its
+    imaginary part vanishes."""
+    if abs(c.norm() - 1.0) > 1e-9:
+        raise DomainError(f"coherent_wavefunction expects a normalized state; norm = {c.norm()!r}")
+    values = c.coeffs @ _family(p)(c.cutoff - 1, x, p)
+    return values if np.any(values.imag) else values.real
+
+
+def orthonormality_gram(p: ModelParams, n_max: int = 10, tol: float = 1e-12,
+                        max_order: int = 65536) -> tuple[np.ndarray, float, int]:
+    """Gram matrix of the first n_max+1 eigenfunctions on the n_max+1 node Gauss rule.
+
+    That rule is exact, so the rule with one node more must give the same
+    matrix; their max-entry difference must not exceed ``tol``.  Returns
+    (gram, difference, n_max+1).
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if n_max + 2 > max_order:
+        raise QuadratureError(f"the Gram check needs {n_max + 2} nodes > max_order {max_order}")
+
+    def build(order: int) -> np.ndarray:
+        q = gauss_levels(p, n_max, order)
+        return q @ q.T
+
+    gram = build(n_max + 1)
+    diff = float(np.max(np.abs(build(n_max + 2) - gram)))
+    if not diff <= tol:
+        raise QuadratureError(
+            f"Gram matrices on {n_max + 1} and {n_max + 2} nodes differ by {diff:.1e} > {tol:.1e}"
+        )
+    return gram, diff, n_max + 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,137 +286,48 @@ def _ls_fit(image: np.ndarray, target: np.ndarray) -> tuple[float, float]:
 
 
 def ladder_action_fd(n: int, p: ModelParams, nodes, h: float = 1e-5) -> LadderFit:
-    """Finite-difference check of the TPT differential ladder operators.
+    """Finite-difference check of the model's differential ladder operators.
 
-    Applies, with eps = lam + n,
+    TPT, at nodes u and with eps = lam + n:
 
         M+ = (1-u^2) (-d/du + eps u / (1-u^2)) sqrt((eps+1)/eps)
         M- = (1-u^2) ( d/du + eps u / (1-u^2)) sqrt((eps-1)/eps)
 
-    to psi_n (the derivative by central differences of step h) and fits the
-    images against psi_{n+1} and psi_{n-1}.  The fitted coefficients match
-    m+ = sqrt((n+1)(2 lam + n)) and m- = sqrt(n (2 lam + n - 1)).
+    whose coefficients are m+ = sqrt((n+1)(2 lam + n)) and
+    m- = sqrt(n (2 lam + n - 1)).  Pseudoharmonic, at nodes rho, with the
+    number operator read as the scalar index n of the state acted on:
 
-    For n = 0 the minus branch has no target: coeff_minus is 0 and
-    residual_minus is the raw annihilation residual max|(1-u^2) psi_0' +
-    lam u psi_0| (the scalar prefactor is omitted there since eps - 1 can
-    be negative for lam < 1).
+        L- = -rho d/drho + s + n - rho/2,   L+ = rho d/drho + s + n + 1 - rho/2
+
+    whose coefficients are sqrt(n (n + 2s)) and sqrt((n+1)(n + 2s + 1)).
+
+    Both operators are applied to psi_n, its derivative by central
+    differences of step h (nodes +/- h must lie in the model's domain), and
+    the images are fitted against psi_{n+1} and psi_{n-1}.  For n = 0 the
+    minus branch has no target: coeff_minus is 0 and residual_minus is the
+    raw annihilation residual, max|M- psi_0| or max|L- R_0| (TPT's scalar
+    prefactor omitted, since eps - 1 can be negative for lam < 1).
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    u = np.atleast_1d(np.asarray(nodes, dtype=float))
-    if np.any(np.abs(u) + h >= 1.0):
-        raise DomainError("nodes +/- h must stay inside (-1, 1)")
-    if h <= 0:
-        raise DomainError("h must be positive")
-    stacked = np.concatenate([u - h, u, u + h])
-    fam = tpt_eigenfunctions(n + 1, stacked, p)
-    m = u.size
-    psi_minus_h, psi_n, psi_plus_h = fam[n, :m], fam[n, m : 2 * m], fam[n, 2 * m :]
-    dpsi = (psi_plus_h - psi_minus_h) / (2.0 * h)
-    eps = p.lam + n
-    bracket_plus = -(1.0 - u * u) * dpsi + eps * u * psi_n
-    image_plus = bracket_plus * math.sqrt((eps + 1.0) / eps)
-    coeff_plus, res_plus = _ls_fit(image_plus, fam[n + 1, m : 2 * m])
-    bracket_minus = (1.0 - u * u) * dpsi + eps * u * psi_n
-    if n == 0:
-        return LadderFit(0.0, coeff_plus, float(np.max(np.abs(bracket_minus))), res_plus)
-    image_minus = bracket_minus * math.sqrt((eps - 1.0) / eps)
-    coeff_minus, res_minus = _ls_fit(image_minus, fam[n - 1, m : 2 * m])
-    return LadderFit(coeff_minus, coeff_plus, res_minus, res_plus)
-
-
-def pseudoharmonic_ladder_fd(n: int, s: float, nodes, h: float = 1e-5) -> LadderFit:
-    """Finite-difference check of the pseudoharmonic ladder operators.
-
-    L- = -rho d/drho + s + n - rho/2 and L+ = rho d/drho + s + n + 1 - rho/2,
-    where the number operator is read as the scalar index n of the state
-    acted on.  Fitted coefficients match sqrt(n (n + 2s)) and
-    sqrt((n+1)(n + 2s + 1)).
-    """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if s <= 0:
-        raise DomainError(f"need s > 0, got {s}")
-    rho = np.atleast_1d(np.asarray(nodes, dtype=float))
-    if np.any(rho - h <= 0.0):
-        raise DomainError("nodes - h must stay positive")
-    if h <= 0:
-        raise DomainError("h must be positive")
-    stacked = np.concatenate([rho - h, rho, rho + h])
-    fam = pseudoharmonic_radials(n + 1, s, stacked)
-    m = rho.size
-    r_minus_h, r_n, r_plus_h = fam[n, :m], fam[n, m : 2 * m], fam[n, 2 * m :]
-    dr = (r_plus_h - r_minus_h) / (2.0 * h)
-    image_minus = -rho * dr + (s + n - rho / 2.0) * r_n
-    image_plus = rho * dr + (s + n + 1.0 - rho / 2.0) * r_n
+    if not (h > 0.0 and math.isfinite(h)):
+        raise DomainError(f"h must be finite and positive, got {h}")
+    x = np.atleast_1d(np.asarray(nodes, dtype=float))
+    m = x.size
+    fam = _family(p)(n + 1, np.concatenate([x - h, x, x + h]), p)
+    psi = fam[n, m : 2 * m]
+    dpsi = (fam[n, 2 * m :] - fam[n, :m]) / (2.0 * h)
+    if p.model is Model.TPT:
+        eps = p.lam + n
+        image_plus = (-(1.0 - x * x) * dpsi + eps * x * psi) * math.sqrt((eps + 1.0) / eps)
+        image_minus = (1.0 - x * x) * dpsi + eps * x * psi
+        if n >= 1:
+            image_minus = image_minus * math.sqrt((eps - 1.0) / eps)
+    else:
+        image_minus = -x * dpsi + (p.s + n - x / 2.0) * psi
+        image_plus = x * dpsi + (p.s + n + 1.0 - x / 2.0) * psi
     coeff_plus, res_plus = _ls_fit(image_plus, fam[n + 1, m : 2 * m])
     if n == 0:
         return LadderFit(0.0, coeff_plus, float(np.max(np.abs(image_minus))), res_plus)
     coeff_minus, res_minus = _ls_fit(image_minus, fam[n - 1, m : 2 * m])
     return LadderFit(coeff_minus, coeff_plus, res_minus, res_plus)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature
-
-
-class OverlapResult(NamedTuple):
-    value: complex
-    error_estimate: float
-
-
-def overlap_quadrature(fa: GridFunction, fb: GridFunction) -> OverlapResult:
-    """<fa|fb> over the model measure on a Gauss rule, with an error estimate.
-
-    The rule is exact when both functions lie in the span of the levels it
-    covers, so the estimate is only a roundoff allowance on the weighted sum.
-    """
-    if fa.grid.measure is not fb.grid.measure:
-        raise SizeMismatchError("grid measures differ")
-    if fa.nodes.shape != fb.nodes.shape or not np.array_equal(fa.nodes, fb.nodes):
-        raise SizeMismatchError("grids have different nodes")
-    w = fa.grid.weights
-    if w is None:
-        raise DomainError("a sample grid has no weights; integrate on a gauss_rule grid")
-    integrand = np.conj(fa.values) * fb.values
-    value = np.sum(w * integrand)
-    err = 32.0 * np.finfo(float).eps * float(np.sum(np.abs(w * integrand)))
-    if not (np.iscomplexobj(fa.values) or np.iscomplexobj(fb.values)):
-        return OverlapResult(float(value.real), err)
-    return OverlapResult(complex(value), err)
-
-
-def coherent_wavefunction(c: FockVector, grid: Grid, p: ModelParams) -> GridFunction:
-    """Coordinate-space synthesis sum_n c_n psi_n on a grid (sum_n c_n q_n on a rule)."""
-    if abs(c.norm() - 1.0) > 1e-9:
-        raise DomainError(f"coherent_wavefunction expects a normalized state; norm = {c.norm()!r}")
-    values = c.coeffs @ _levels(c.cutoff - 1, grid, p)
-    if np.allclose(values.imag, 0.0, atol=0.0):
-        values = values.real
-    return GridFunction(grid=grid, values=values)
-
-
-def orthonormality_gram(p: ModelParams, n_max: int = 10, tol: float = 1e-12,
-                        max_order: int = 65536) -> tuple[np.ndarray, float, int]:
-    """Gram matrix of the first n_max+1 eigenfunctions on the n_max+1 node Gauss rule.
-
-    That rule is exact, so the rule with one node more must give the same
-    matrix; their max-entry difference must not exceed ``tol``.  Returns
-    (gram, difference, n_max+1).
-    """
-    if n_max + 2 > max_order:
-        raise QuadratureError(f"the Gram check needs {n_max + 2} nodes > max_order {max_order}")
-
-    def build(order: int) -> np.ndarray:
-        rule = gauss_rule(p, order)
-        q = _levels(n_max, rule, p)
-        return (q * rule.weights) @ q.T
-
-    gram = build(n_max + 1)
-    diff = float(np.max(np.abs(build(n_max + 2) - gram)))
-    if not diff <= tol:
-        raise QuadratureError(
-            f"Gram matrices on {n_max + 1} and {n_max + 2} nodes differ by {diff:.1e} > {tol:.1e}"
-        )
-    return gram, diff, n_max + 1

@@ -32,7 +32,6 @@ from defosc import (
     orthonormality_gram,
     pseudoharmonic_deformation,
     pseudoharmonic_energy,
-    pseudoharmonic_ladder_fd,
     tpt_deformation,
     tpt_energy,
     tpt_ladder_coefficients,
@@ -238,7 +237,7 @@ def test_criterion_7_finite_difference_ladders():
     rho_nodes = np.linspace(0.2, 35.0, 301)
     for s in (0.5, 1.0, 3.0):
         for n in range(11):
-            fit = pseudoharmonic_ladder_fd(n, s, rho_nodes)
+            fit = ladder_action_fd(n, ModelParams.pseudoharmonic(s), rho_nodes)
             m_plus = math.sqrt((n + 1) * (n + 2 * s + 1))
             worst = max(worst, abs(fit.coeff_plus - m_plus) / m_plus)
             if n >= 1:

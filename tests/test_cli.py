@@ -284,6 +284,16 @@ class TestOtherTasks:
                      "--param", "alpha_im=-0.31051357808916485", "--param", "check_tol=1e-8",
                      "--out", out]) == EXIT_OK
 
+    def test_wavefunction_pseudoharmonic_past_200_levels(self, tmp_path):
+        # n_eff = 209 needs a 210-node Laguerre rule, whose largest weights
+        # underflow; the rule seeds the recurrences with sqrt(w) instead
+        out = str(tmp_path / "r")
+        assert main(["wavefunction", "--param", 'model="pseudoharmonic"', "--param", "s=1.0",
+                     "--param", 'method="displacement"', "--param", "alpha_re=1.5",
+                     "--param", "cutoff=512", "--out", out]) == EXIT_OK
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert abs(report["quadrature_norm"] - 1.0) < 1e-12
+
     def test_harmonic_limit(self, tmp_path):
         out = str(tmp_path / "r")
         assert main(["harmonic-limit", "--out", out]) == EXIT_OK

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -9,25 +10,20 @@ from scipy.integrate import quad
 from defosc import (
     DomainError,
     FockVector,
-    Measure,
     ModelParams,
     QuadratureError,
-    SizeMismatchError,
     annihilation_eigenstate,
     coherent_wavefunction,
-    gauss_rule,
+    gauss_levels,
     ladder_action_fd,
     orthonormality_gram,
-    overlap_quadrature,
-    pseudoharmonic_ladder_fd,
     pseudoharmonic_radials,
-    radial_grid,
-    sample_eigenfunction,
+    sample_points,
     tpt_deformation,
     tpt_eigenfunctions,
-    tpt_grid,
     tpt_ground,
 )
+from defosc.cli import main
 
 
 class TestTptGround:
@@ -77,10 +73,8 @@ class TestTptEigenfunctions:
 
     @pytest.mark.parametrize("n", range(0, 11, 2))
     def test_unit_norm_by_quadrature(self, n):
-        p = ModelParams.tpt(2.0, 1.0)
-        gf = sample_eigenfunction(n, gauss_rule(p, n + 1), p)
-        val, _ = overlap_quadrature(gf, gf)
-        assert val == pytest.approx(1.0, abs=1e-8)
+        q = gauss_levels(ModelParams.tpt(2.0, 1.0), n, n + 1)
+        assert q[n] @ q[n] == pytest.approx(1.0, abs=1e-8)
 
     def test_scalar_interface(self):
         p = ModelParams.tpt(2.0, 1.0)
@@ -114,24 +108,28 @@ class TestTptEigenfunctions:
 
 class TestPseudoharmonicRadial:
     def test_ground_value(self):
-        assert pseudoharmonic_radials(0, 1.0, 1.0)[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-13)
+        p = ModelParams.pseudoharmonic(1.0)
+        assert pseudoharmonic_radials(0, 1.0, p)[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-13)
 
     def test_first_laguerre_factor(self):
         # R_1/R_0 = (N_1/N_0) (2s + 1 - rho)
         s = 0.8
         rho = np.array([0.3, 1.0, 2.5, 4.0])
-        fam = pseudoharmonic_radials(1, s, rho)
+        fam = pseudoharmonic_radials(1, rho, ModelParams.pseudoharmonic(s))
         ratio = fam[1] / fam[0]
         n1_over_n0 = math.sqrt(1.0 / (2.0 * s + 1.0))
         assert np.allclose(ratio, n1_over_n0 * (2.0 * s + 1.0 - rho), rtol=1e-12)
 
     def test_domain(self):
+        p = ModelParams.pseudoharmonic(1.0)
         with pytest.raises(DomainError):
-            pseudoharmonic_radials(0, 1.0, 0.0)
+            pseudoharmonic_radials(0, 0.0, p)
         with pytest.raises(DomainError):
-            pseudoharmonic_radials(0, 1.0, np.array([1.0, -2.0]))
+            pseudoharmonic_radials(0, np.array([1.0, -2.0]), p)
         with pytest.raises(DomainError):
-            pseudoharmonic_radials(3, -1.0, np.array([1.0]))
+            pseudoharmonic_radials(3, np.array([1.0]), ModelParams.pseudoharmonic(-1.0))
+        with pytest.raises(DomainError):
+            pseudoharmonic_radials(3, np.array([1.0]), ModelParams.tpt(2.0, 1.0))
 
     @pytest.mark.parametrize("s", [0.6, 1.0, 3.0, 20.0, 150.0, 200.0])
     def test_matches_mpmath_oracle(self, s):
@@ -141,7 +139,7 @@ class TestPseudoharmonicRadial:
         # amplitude of each level, as for the TPT family.
         rhos = [0.05, 1.0, 7.5, 40.0, 150.0, 400.0, 900.0]
         levels = [0, 1, 2, 7, 19, 40]
-        mine = pseudoharmonic_radials(levels[-1], s, np.array(rhos))[levels]
+        mine = pseudoharmonic_radials(levels[-1], np.array(rhos), ModelParams.pseudoharmonic(s))[levels]
         ref = np.zeros_like(mine)
         with mp.workdps(250):
             a = 2 * mp.mpf(s)
@@ -157,12 +155,8 @@ class TestPseudoharmonicRadial:
 
     @pytest.mark.parametrize("n,m", [(0, 0), (0, 1), (2, 2), (1, 4), (6, 6), (3, 6)])
     def test_orthonormality_pairs(self, n, m):
-        p = ModelParams.pseudoharmonic(1.0)
-        rule = gauss_rule(p, 7)
-        fa = sample_eigenfunction(n, rule, p)
-        fb = sample_eigenfunction(m, rule, p)
-        val, err = overlap_quadrature(fa, fb)
-        assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
+        q = gauss_levels(ModelParams.pseudoharmonic(1.0), 6, 7)
+        assert q[n] @ q[m] == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
 
 
 class TestLadderFiniteDifference:
@@ -196,9 +190,10 @@ class TestLadderFiniteDifference:
 
     def test_pseudoharmonic_examples(self):
         nodes = np.linspace(0.2, 25.0, 241)
-        fit = pseudoharmonic_ladder_fd(2, 1.0, nodes)
+        p = ModelParams.pseudoharmonic(1.0)
+        fit = ladder_action_fd(2, p, nodes)
         assert fit.coeff_minus == pytest.approx(math.sqrt(8.0), rel=1e-6)
-        fit0 = pseudoharmonic_ladder_fd(0, 1.0, nodes)
+        fit0 = ladder_action_fd(0, p, nodes)
         assert fit0.coeff_plus == pytest.approx(math.sqrt(3.0), rel=1e-6)
         assert fit0.coeff_minus == 0.0
         assert fit0.residual_minus < 1e-8
@@ -207,7 +202,7 @@ class TestLadderFiniteDifference:
     @pytest.mark.parametrize("n", [0, 1, 5, 10])
     def test_pseudoharmonic_sweep(self, s, n):
         nodes = np.linspace(0.2, 35.0, 301)
-        fit = pseudoharmonic_ladder_fd(n, s, nodes)
+        fit = ladder_action_fd(n, ModelParams.pseudoharmonic(s), nodes)
         assert fit.coeff_plus == pytest.approx(math.sqrt((n + 1) * (n + 2 * s + 1)), rel=1e-6)
         if n >= 1:
             assert fit.coeff_minus == pytest.approx(math.sqrt(n * (n + 2 * s)), rel=1e-6)
@@ -216,6 +211,10 @@ class TestLadderFiniteDifference:
         p = ModelParams.tpt(2.0, 1.0)
         with pytest.raises(DomainError):
             ladder_action_fd(1, p, np.array([0.9999999]))
+        with pytest.raises(DomainError):
+            ladder_action_fd(1, ModelParams.pseudoharmonic(1.0), np.array([5e-6, 1.0]))
+        with pytest.raises(DomainError):
+            ladder_action_fd(1, ModelParams.harmonic(), np.array([0.5]))
 
     def test_degenerate_target_rejected(self):
         # single node placed at a zero of the target function
@@ -225,43 +224,19 @@ class TestLadderFiniteDifference:
 
 
 class TestOverlapQuadrature:
-    def test_mismatched_grids(self):
-        p = ModelParams.tpt(2.0, 1.0)
-        g1, g2 = tpt_grid(p, 64), tpt_grid(p, 128)
-        fa = sample_eigenfunction(0, g1, p)
-        fb = sample_eigenfunction(0, g2, p)
-        with pytest.raises(SizeMismatchError):
-            overlap_quadrature(fa, fb)
-
-    def test_mismatched_measures(self):
-        p = ModelParams.tpt(2.0, 1.0)
-        s = 1.0
-        fa = sample_eigenfunction(0, tpt_grid(p, 64), p)
-        fb = sample_eigenfunction(0, radial_grid(s, 4, 64), ModelParams.pseudoharmonic(s))
-        with pytest.raises(SizeMismatchError):
-            overlap_quadrature(fa, fb)
-
     def test_parity_orthogonality(self):
-        p = ModelParams.tpt(2.0, 1.0)
-        grid = gauss_rule(p, 400)
-        f0 = sample_eigenfunction(0, grid, p)
-        f1 = sample_eigenfunction(1, grid, p)
-        val, _ = overlap_quadrature(f0, f1)
-        assert abs(val) < 1e-12
+        q = gauss_levels(ModelParams.tpt(2.0, 1.0), 1, 400)
+        assert abs(q[0] @ q[1]) < 1e-12
 
-    def test_radial_error_estimate_is_roundoff(self):
+    def test_radial_error_estimate_is_roundoff(self, tmp_path):
         # the rule is exact, so nothing but roundoff is left to estimate
-        p = ModelParams.pseudoharmonic(1.0)
-        fa = sample_eigenfunction(4, gauss_rule(p, 5), p)
-        val, err = overlap_quadrature(fa, fa)
-        assert 0.0 < err < 1e-13
-        assert val == pytest.approx(1.0, abs=1e-13)
-
-    def test_sample_grid_has_no_weights(self):
-        p = ModelParams.pseudoharmonic(1.0)
-        fa = sample_eigenfunction(0, radial_grid(1.0, 4, 64), p)
-        with pytest.raises(DomainError):
-            overlap_quadrature(fa, fa)
+        q = gauss_levels(ModelParams.pseudoharmonic(1.0), 4, 5)
+        assert q[4] @ q[4] == pytest.approx(1.0, abs=1e-13)
+        assert main(["wavefunction", "--param", 'model="pseudoharmonic"', "--param", "cutoff=48",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert 0.0 < report["quadrature_error_estimate"] < 1e-13
+        assert report["quadrature_norm"] == pytest.approx(1.0, abs=1e-13)
 
 
 class TestGramMatrices:
@@ -301,6 +276,13 @@ class TestGramMatrices:
         with pytest.raises(QuadratureError):
             orthonormality_gram(ModelParams.tpt(2.0, 1.0), n_max=10, max_order=11)
 
+    @pytest.mark.parametrize("kwargs", [{"n_max": -1}, {"tol": math.nan}, {"tol": math.inf},
+                                        {"tol": 0.0}, {"tol": -1e-12}])
+    def test_argument_errors(self, kwargs):
+        # bad arguments are domain errors (exit 5), not quadrature failures (exit 4)
+        with pytest.raises(DomainError):
+            orthonormality_gram(ModelParams.tpt(2.0, 1.0), **kwargs)
+
 
 class TestGaussRule:
     @pytest.mark.parametrize("s", [85.5, 150.0, 200.0, 1000.0])
@@ -309,46 +291,90 @@ class TestGaussRule:
         gram, _, _ = orthonormality_gram(ModelParams.pseudoharmonic(s), n_max=100)
         assert np.max(np.abs(gram - np.eye(101))) <= 5e-13
 
+    @pytest.mark.parametrize("s", [0.5, 3.0, 20.0])
+    def test_sqrt_weight_seed_reaches_past_200_nodes(self, s):
+        # the largest weights underflow to 0 at about 200 nodes, but their
+        # square roots, which seed the recurrences, only past about 360
+        gram, diff, _ = orthonormality_gram(ModelParams.pseudoharmonic(s), n_max=200)
+        assert np.max(np.abs(gram - np.eye(201))) <= 1e-12
+        assert diff <= 1e-12
+
     def test_underflowed_weight_rejected(self):
-        # at about 200 nodes the outermost Laguerre weight underflows to 0,
-        # which left |G - I| = 0.16 at n_max = 200
+        # past about 360 levels L_{order+1} overflows at the outer nodes and
+        # sqrt(w) underflows; such a rule is rejected, not integrated
         p = ModelParams.pseudoharmonic(3.0)
         with pytest.raises(QuadratureError):
-            gauss_rule(p, 201)
+            gauss_levels(p, 400, 401)
         with pytest.raises(QuadratureError):
-            orthonormality_gram(p, n_max=200)
+            orthonormality_gram(p, n_max=400)
 
     def test_invalid_gegenbauer_rule_rejected(self):
         # SciPy's nodes turn NaN here, with a RuntimeWarning that must not escape
         with pytest.raises(QuadratureError):
-            gauss_rule(ModelParams.tpt(1e4, 1.0), 201)
+            gauss_levels(ModelParams.tpt(1e4, 1.0), 200, 201)
 
 
 class TestCoherentWavefunction:
     def test_basis_states_reproduce_eigenfunctions(self):
         p = ModelParams.tpt(2.0, 1.0)
-        grid = tpt_grid(p, 200)
+        u = sample_points(p, 200, 8)
         for n in (0, 1):
-            gf = coherent_wavefunction(FockVector.basis_state(n, 8), grid, p)
-            direct = sample_eigenfunction(n, grid, p)
-            assert np.allclose(np.asarray(gf.values, dtype=float), direct.values, atol=1e-12)
+            values = coherent_wavefunction(FockVector.basis_state(n, 8), u, p)
+            assert np.allclose(np.asarray(values, dtype=float), tpt_eigenfunctions(n, u, p)[n],
+                               atol=1e-12)
 
     def test_tpt_state_norm(self):
         p = ModelParams.tpt(2.0, 1.0)
         f = tpt_deformation(p)
         state = annihilation_eigenstate(f, 0.5, 48).state
-        gf = coherent_wavefunction(state, gauss_rule(p, state.cutoff), p)
-        val, _ = overlap_quadrature(gf, gf)
-        assert abs(val) == pytest.approx(1.0, abs=1e-6)
+        on_rule = state.coeffs @ gauss_levels(p, state.cutoff - 1, state.cutoff)
+        assert np.vdot(on_rule, on_rule).real == pytest.approx(1.0, abs=1e-6)
 
     def test_requires_normalized_input(self):
         p = ModelParams.tpt(2.0, 1.0)
         with pytest.raises(DomainError):
-            coherent_wavefunction(FockVector(np.ones(4, dtype=complex)), tpt_grid(p, 64), p)
+            coherent_wavefunction(FockVector(np.ones(4, dtype=complex)), sample_points(p, 64, 3), p)
 
-    def test_measure_tags(self):
-        p = ModelParams.tpt(2.0, 1.0)
-        assert tpt_grid(p, 64).measure is Measure.TPT_DX
-        assert radial_grid(1.0, 4, 64).measure is Measure.RADIAL_RHO
-        assert gauss_rule(p, 3).measure is Measure.TPT_DX
-        assert gauss_rule(ModelParams.pseudoharmonic(1.0), 3).measure is Measure.RADIAL_RHO
+
+class TestSamplePoints:
+    def test_tpt_points_fill_the_open_well(self):
+        u = sample_points(ModelParams.tpt(2.0, 1.0), 1024, 10)
+        assert np.all(np.diff(u) > 0) and np.all(np.abs(u) < 1.0)
+
+    @pytest.mark.parametrize("s,n_max,rho_max", [(1.0, 4, 60.0), (1.0, 0, 40.0), (10.0, 3, 124.0)])
+    def test_radial_points_cover_twice_the_turning_point(self, s, n_max, rho_max):
+        rho = sample_points(ModelParams.pseudoharmonic(s), 64, n_max)
+        t, _ = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(rho, (t + 1.0) * (rho_max / 2.0))
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            sample_points(ModelParams.tpt(2.0, 1.0), 1, 4)
+        with pytest.raises(DomainError):
+            sample_points(ModelParams.harmonic(), 64, 4)
+
+
+_TPT = ModelParams.tpt(2.0, 1.0)
+_PH = ModelParams.pseudoharmonic(1.0)
+_RHO = np.linspace(0.2, 25.0, 11)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tpt_eigenfunctions(3, [0.1, math.nan], _TPT),
+    lambda: tpt_ground(math.nan, _TPT),
+    lambda: tpt_ground(math.inf, _TPT),
+    lambda: pseudoharmonic_radials(3, [1.0, math.nan], _PH),
+    lambda: pseudoharmonic_radials(3, [1.0, math.inf], _PH),
+    lambda: ladder_action_fd(1, _TPT, np.linspace(-0.9, 0.9, 11), h=math.nan),
+    lambda: ladder_action_fd(1, _TPT, np.linspace(-0.9, 0.9, 11), h=math.inf),
+    lambda: ladder_action_fd(1, _TPT, np.array([0.1, math.nan])),
+    lambda: ladder_action_fd(1, _PH, _RHO, h=math.nan),
+    lambda: ladder_action_fd(1, _PH, np.append(_RHO, math.inf)),
+    lambda: ladder_action_fd(1, _PH, np.append(_RHO, math.nan)),
+    lambda: ladder_action_fd(1, ModelParams.pseudoharmonic(math.nan), _RHO),
+], ids=["tpt-levels-nan-u", "tpt-ground-nan", "tpt-ground-inf", "radials-nan-rho",
+        "radials-inf-rho", "fd-tpt-nan-h", "fd-tpt-inf-h", "fd-tpt-nan-node", "fd-radial-nan-h",
+        "fd-radial-inf-node", "fd-radial-nan-node", "fd-radial-nan-s"])
+def test_non_finite_inputs_rejected(call):
+    with pytest.raises(DomainError):
+        call()
