@@ -169,6 +169,11 @@ class RunConfig:
         for name, value in amplitudes.items():
             if value is not None and not cmath.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.zeta is not None and not (self.task in ("coherent", "wavefunction")
+                                          and s["method"] == "displacement"):
+            raise ConfigError("zeta_re/zeta_im apply only to the coherent and wavefunction "
+                              f"tasks with method \"displacement\", not to {self.task!r} "
+                              f"with method {s['method']!r}")
 
     def model_params(self) -> models.ModelParams:
         s = self.settings
@@ -295,6 +300,10 @@ def _task_commutators(cfg: RunConfig):
     return ["check", "max_deviation", "tolerance", "passed"], rows, checks, {}
 
 
+def _zeta(cfg: RunConfig, f: models.DeformationFunction) -> complex:
+    return cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
+
+
 def _build_state(cfg: RunConfig, method: str) -> cs.CoherentStateResult:
     p = cfg.model_params()
     f = models.deformation_for(p)
@@ -305,17 +314,37 @@ def _build_state(cfg: RunConfig, method: str) -> cs.CoherentStateResult:
     if method == "annihilation-closed-form":
         return cs.closed_form_bg_coefficients(p, cfg.alpha, cutoff)
     if method == "displacement":
-        zeta = cfg.zeta
-        if zeta is None:
-            zeta = cs.zeta_from_alpha(cfg.alpha, f)
-        return cs.displacement_state_closed_form(p, zeta, cutoff)
+        return cs.displacement_state_closed_form(p, _zeta(cfg, f), cutoff)
     if method == "displacement-direct":
         return cs.displacement_state_direct(f, cfg.alpha, cutoff, tail_tol=tail_tol)
     return cs.displacement_state_factored(f, cfg.alpha, cutoff, tail_tol=tail_tol)
 
 
+def _grown_displacement(cfg: RunConfig) -> cs.CoherentStateResult:
+    """The closed-form displacement state of the ``coherent`` task: like the
+    eigenstate route, the cutoff doubles until the exact family's tail meets
+    ``tail_tol``, up to the auto-cutoff cap."""
+    p = cfg.model_params()
+    zeta = _zeta(cfg, models.deformation_for(p))
+    cutoff = cfg.settings["cutoff"]
+    tail_tol = cfg.settings["tail_tol"]
+    while True:
+        result = cs.displacement_state_closed_form(p, zeta, cutoff)
+        if result.tail_mass <= tail_tol:
+            return result
+        limit = cs.max_auto_cutoff()
+        if 2 * cutoff > limit:
+            raise TruncationError(
+                f"displacement tail mass {result.tail_mass:.3e} above tolerance "
+                f"{tail_tol:.1e} at cutoff {cutoff}; doubling would exceed the cap "
+                f"{limit} (raise {cs.MAX_CUTOFF_ENV} to allow larger bases)"
+            )
+        cutoff *= 2
+
+
 def _task_coherent(cfg: RunConfig):
-    result = _build_state(cfg, cfg.settings["method"])
+    method = cfg.settings["method"]
+    result = _grown_displacement(cfg) if method == "displacement" else _build_state(cfg, method)
     c = result.state.coeffs
     rows = [[int(k), float(c[k].real), float(c[k].imag), float(abs(c[k]) ** 2)] for k in range(c.size)]
     stats = cs.photon_statistics(result.state)

@@ -313,13 +313,18 @@ def displacement_state_direct(
 ) -> CoherentStateResult:
     """Vacuum image of exp(alpha A^dag - alpha* A) by dense matrix exponential.
 
-    The generator is the tridiagonal matrix built from the ladder
-    amplitudes; this route is the independent reference of the others.
+    The ladder amplitudes are real, so with alpha = |alpha| e^{i phi} and
+    D = diag(e^{i n phi}) the generator is the gauge transform D K D^* of
+    the real skew-symmetric tridiagonal K = |alpha| (A^dag - A).  The
+    vacuum image is therefore e^{i n phi} exp(K)[n, 0], with exp(K) a
+    real dense exponential.  This route is the independent reference of
+    the others.
     """
     alpha = _amplitude(alpha)
     amp = ladder_amplitudes(f, cutoff)
-    gen = OperatorMatrix(alpha * np.diag(amp, -1) - np.conj(alpha) * np.diag(amp, 1))
-    image = matrix_exponential(gen).entries[:, 0]
+    gen = OperatorMatrix(abs(alpha) * (np.diag(amp, -1) - np.diag(amp, 1)))
+    phases = np.exp(1j * cmath.phase(alpha) * np.arange(cutoff))
+    image = phases * matrix_exponential(gen).entries[:, 0]
     return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f, tail_tol)
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +110,26 @@ class TestConfigErrors:
 
     def test_bad_cutoff(self, tmp_path):
         assert main(["spectrum", "--param", "cutoff=1", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("task, method", [
+        ("spectrum", "displacement"),
+        ("compare", "annihilation"),
+        ("compare", "displacement"),
+        ("displacement-check", "displacement"),
+        ("commutators", "annihilation"),
+        ("harmonic-limit", "annihilation"),
+        ("coherent", "annihilation"),
+        ("coherent", "displacement-direct"),
+        ("wavefunction", "displacement-factored"),
+    ])
+    @pytest.mark.parametrize("param", ["zeta_re=0.5", "zeta_im=0.5"])
+    def test_zeta_only_for_closed_form_displacement(self, tmp_path, capsys, task, method, param):
+        # zeta was ignored here: the checks used the zeta derived from alpha
+        code = main([task, "--param", f'method="{method}"', "--param", param,
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_CONFIG
+        assert "zeta" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
 
     def test_inadmissible_lambda(self, tmp_path):
         for value in ("0.4", "NaN", "Infinity"):
@@ -232,6 +254,23 @@ class TestCoherentTask:
         assert checks["state-normalized"]["tolerance"] == 1e-300
         assert not checks["state-normalized"]["passed"]
 
+    def test_displacement_grows_cutoff(self, tmp_path):
+        # the exact family's tail at cutoff 128 is 1.2e-7; the run exited 1
+        out = str(tmp_path / "r")
+        assert main(["coherent", "--param", 'method="displacement"',
+                     "--param", 'model="pseudoharmonic"', "--param", "s=2.0",
+                     "--param", "alpha_re=1.5", "--out", out]) == EXIT_OK
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["cutoff_used"] == 256
+        assert report["tail_mass"] <= 1e-12
+
+    def test_displacement_past_cap_is_truncation_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "512")
+        code = main(["coherent", "--param", 'method="displacement"', "--param", "alpha_re=8.0",
+                     "--out", str(tmp_path / "r")])
+        assert code == EXIT_TRUNCATION
+        assert "cap 512" in capsys.readouterr().err
+
     def test_explicit_zeta(self, tmp_path):
         out = str(tmp_path / "r")
         assert main(["coherent", "--param", 'method="displacement"', "--param", "zeta_re=0.5",
@@ -254,6 +293,10 @@ class TestOtherTasks:
     def test_displacement_check_pseudoharmonic(self, tmp_path):
         assert main(["displacement-check", "--param", 'model="pseudoharmonic"',
                      "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    def test_wavefunction_explicit_zeta(self, tmp_path):
+        assert main(["wavefunction", "--param", 'method="displacement"', "--param", "zeta_im=0.3",
+                     "--param", "cutoff=48", "--out", str(tmp_path / "r")]) == EXIT_OK
 
     def test_wavefunction(self, tmp_path):
         out = str(tmp_path / "r")
@@ -300,3 +343,12 @@ class TestOtherTasks:
         rows = read(os.path.join(out, "harmonic-limit.csv")).decode().strip().split("\n")
         assert rows[0] == "lambda,deviation"
         assert len(rows) == 4
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(fock.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "defosc", "spectrum", "--param", "cutoff=3",
+                           "--out", str(tmp_path / "r")], env=env, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert read(tmp_path / "r" / "spectrum.csv") == b"n,energy\n0,1.0\n1,3.5\n2,7.0\n"

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm as scipy_expm
 from scipy.special import gammaln
 
 from defosc import (
@@ -33,6 +34,7 @@ from defosc import (
 )
 from defosc import coherent
 from defosc.coherent import MAX_CUTOFF_ENV, max_auto_cutoff
+from defosc.fock import matrix_exponential
 
 TPT2 = tpt_deformation(ModelParams.tpt(2.0))
 
@@ -337,6 +339,49 @@ class TestDisplacementOperatorRoutes:
     def test_no_su11_structure_for_harmonic_factoring(self):
         with pytest.raises(DomainError):
             displacement_state_factored(harmonic_deformation(), 0.5, 8)
+
+
+def scipy_vacuum_image(f, alpha, cutoff):
+    """Renormalized first column of SciPy's exp(alpha A^dag - alpha* A), complex generator."""
+    amp = ladder_amplitudes(f, cutoff)
+    col = scipy_expm(alpha * np.diag(amp, -1) - np.conj(alpha) * np.diag(amp, 1))[:, 0]
+    return col / np.linalg.norm(col)
+
+
+GAUGE_MODELS = [ModelParams.tpt(2.0), ModelParams.pseudoharmonic(1.0)]
+QUADRANT_AMPLITUDES = [1.2 * np.exp(1j * phase) for phase in (0.4, 2.2, -2.6, -0.9)]
+
+
+class TestDirectRouteGauge:
+    """The real skew generator, rephased by e^{i n phi}, reproduces the complex one."""
+
+    @pytest.mark.parametrize("p", GAUGE_MODELS, ids=lambda p: p.model.value)
+    @pytest.mark.parametrize("cutoff", [16, 128])
+    @pytest.mark.parametrize("alpha", [0.0] + QUADRANT_AMPLITUDES,
+                             ids=["zero", "q1", "q2", "q3", "q4"])
+    def test_matches_scipy_complex_generator(self, p, cutoff, alpha):
+        f = deformation_for(p)
+        res = displacement_state_direct(f, alpha, cutoff, tail_tol=1.0)
+        assert np.max(np.abs(res.state.coeffs - scipy_vacuum_image(f, alpha, cutoff))) <= 1e-13
+
+    @pytest.mark.parametrize("p, alpha", [(GAUGE_MODELS[0], QUADRANT_AMPLITUDES[1]),
+                                          (GAUGE_MODELS[1], QUADRANT_AMPLITUDES[3])],
+                             ids=["tpt", "pseudoharmonic"])
+    def test_matches_scipy_at_cutoff_512(self, p, alpha):
+        f = deformation_for(p)
+        res = displacement_state_direct(f, alpha, 512)
+        assert np.max(np.abs(res.state.coeffs - scipy_vacuum_image(f, alpha, 512))) <= 1e-13
+
+    def test_dense_exponential_is_real(self, monkeypatch):
+        seen = []
+
+        def spy(m):
+            seen.append(m.entries.dtype)
+            return matrix_exponential(m)
+
+        monkeypatch.setattr(coherent, "matrix_exponential", spy)
+        displacement_state_direct(TPT2, 0.3 - 0.7j, 32)
+        assert seen == [np.float64]
 
 
 class TestCompareStates:

@@ -200,6 +200,34 @@ class TestMatrixExponential:
             ref = scipy_expm(m)
             assert np.max(np.abs(mine - ref)) / np.linalg.norm(ref, 2) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_unscaled_kernel_matches_term_by_term_series(self, dtype):
+        # at 1-norm 0.5 no squaring runs, so this compares the factored
+        # evaluation with the plain sum of x^k / k!, k <= 18
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 40)).astype(dtype)
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=(40, 40))
+        x *= 0.5 / np.linalg.norm(x, 1)
+        series, term = np.eye(40, dtype=dtype), np.eye(40, dtype=dtype)
+        for k in range(1, 19):
+            term = term @ x / k
+            series = series + term
+        mine = matrix_exponential(OperatorMatrix(x)).entries
+        assert mine.dtype == series.dtype
+        assert np.max(np.abs(mine - series)) < 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("size", [5, 64, 200])
+    def test_real_skew_input_stays_real_and_orthogonal(self, size):
+        rng = np.random.default_rng(size)
+        b = rng.normal(size=(size, size))
+        k = (b - b.T) * (rng.uniform(1.0, 40.0) / np.linalg.norm(b - b.T, 1))
+        mine = matrix_exponential(OperatorMatrix(k)).entries
+        assert mine.dtype == np.float64
+        assert np.max(np.abs(mine.T @ mine - np.eye(size))) < 1e-12
+        ref = scipy_expm(k)
+        assert np.max(np.abs(mine - ref)) / np.linalg.norm(ref, 2) < 1e-12
+
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             matrix_exponential(OperatorMatrix(np.diag([1e30, 1.0])))
@@ -207,6 +235,25 @@ class TestMatrixExponential:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             matrix_exponential(OperatorMatrix(np.array([[np.nan, 0.0], [0.0, 0.0]])))
+
+
+class TestOperatorMatrix:
+    def test_real_entries_stay_real(self):
+        m = OperatorMatrix(np.array([[0.0, 1.5], [-1.5, 0.0]]))
+        assert m.entries.dtype == np.float64
+
+    def test_integer_entries_become_float(self):
+        m = OperatorMatrix([[1, 2], [3, 4]])
+        assert m.entries.dtype == np.float64
+        assert np.array_equal(m.entries, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_complex_entries_stay_complex(self):
+        assert OperatorMatrix(np.eye(3) * 1j).entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+    def test_non_square_rejected(self, bad):
+        with pytest.raises(DomainError):
+            OperatorMatrix(bad)
 
 
 class TestApply:
