@@ -49,6 +49,7 @@ from .coherent import (
     displacement_state_direct,
     displacement_state_factored,
     glauber_coefficients,
+    grow_cutoff,
     harmonic_limit_deviation,
     max_auto_cutoff,
     photon_statistics,

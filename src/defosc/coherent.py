@@ -34,14 +34,14 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SizeMismatchError, TruncationError
 from .fock import FockVector, OperatorMatrix, exp_ladder_apply, ladder_amplitudes, matrix_exponential
-from .models import DeformationFunction, ModelParams, deformation_for
+from .models import DeformationFunction, ModelParams, tpt_deformation
 
 __all__ = [
     "Method",
@@ -60,10 +60,10 @@ __all__ = [
     "harmonic_limit_deviation",
     "glauber_coefficients",
     "max_auto_cutoff",
+    "grow_cutoff",
 ]
 
-#: Environment variable capping the auto-doubled cutoff of
-#: :func:`annihilation_eigenstate`.
+#: Environment variable capping the auto-doubled cutoff of :func:`grow_cutoff`.
 MAX_CUTOFF_ENV = "DEFOSC_MAX_CUTOFF"
 _DEFAULT_MAX_CUTOFF = 4096
 
@@ -100,6 +100,34 @@ class CoherentStateResult:
     model: Optional[ModelParams] = None
 
 
+def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_tol: float,
+                max_cutoff: Optional[int] = None) -> CoherentStateResult:
+    """``build(n)`` at n = cutoff, 2 cutoff, 4 cutoff, ... until its tail mass is at most ``tail_tol``.
+
+    A doubling past ``max_cutoff`` (default :func:`max_auto_cutoff`, read
+    only once a doubling is needed) raises :class:`TruncationError`.
+    """
+    n = cutoff
+    while True:
+        result = build(n)
+        if result.tail_mass <= tail_tol:
+            return result
+        limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
+        if 2 * n > limit:
+            raise TruncationError(
+                f"{result.method.value} tail mass {result.tail_mass:.3e} above tolerance "
+                f"{tail_tol:.1e} at cutoff {n}; doubling would exceed the cap {limit} "
+                f"(raise {MAX_CUTOFF_ENV} to allow larger bases)"
+            )
+        n *= 2
+
+
+def _vacuum(cutoff: int) -> np.ndarray:
+    c = np.zeros(cutoff, dtype=complex)
+    c[0] = 1.0
+    return c
+
+
 def _amplitude(alpha) -> complex:
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
@@ -128,9 +156,10 @@ def annihilation_eigenstate(
     """Eigenstate of the deformed annihilation operator A = a f(n).
 
     Coefficients follow c_n = alpha c_{n-1} / (sqrt(n) f(n)) from c_0 = 1
-    and are then normalized.  If the relative weight of the last kept
-    coefficient exceeds ``tail_tol`` the cutoff is doubled, up to
-    ``max_cutoff`` (default: DEFOSC_MAX_CUTOFF or 4096).
+    are then normalized.  If the relative weight of the last kept
+    coefficient exceeds ``tail_tol`` the cutoff is doubled by
+    :func:`grow_cutoff`, up to ``max_cutoff`` (default: DEFOSC_MAX_CUTOFF or
+    4096, read before the first build).
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
@@ -138,32 +167,23 @@ def annihilation_eigenstate(
         raise DomainError(f"tail_tol must be positive, got {tail_tol}")
     limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
     alpha = _amplitude(alpha)
-    n_kept = cutoff
-    while True:
+
+    def build(n_kept: int) -> CoherentStateResult:
         f.validate_positive(n_kept)
         if alpha == 0:
-            state = FockVector.vacuum(n_kept)
-            return CoherentStateResult(state, Method.ANNIHILATION_EIGENSTATE, alpha, 1.0, 0.0, f.params)
+            return CoherentStateResult(FockVector(_vacuum(n_kept)), Method.ANNIHILATION_EIGENSTATE,
+                                       alpha, 1.0, 0.0, f.params)
         n = np.arange(1, n_kept, dtype=float)
         steps = math.log(abs(alpha)) - 0.5 * np.log(n * f.fsq(n))
         logmag = np.concatenate(([0.0], np.cumsum(steps)))
         coeffs, log_nf = _coefficients_from_log(logmag, cmath.phase(alpha))
-        tail = float(abs(coeffs[-1]) ** 2)
-        if tail <= tail_tol:
-            state = FockVector(coeffs)
-            return CoherentStateResult(
-                state, Method.ANNIHILATION_EIGENSTATE, alpha, math.exp(log_nf), tail, f.params
-            )
-        if 2 * n_kept > limit:
-            raise TruncationError(
-                f"tail mass {tail:.3e} above tolerance {tail_tol:.1e} at cutoff "
-                f"{n_kept}; doubling would exceed the cap {limit} "
-                f"(raise {MAX_CUTOFF_ENV} to allow larger bases)"
-            )
-        n_kept *= 2
+        return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
+                                   math.exp(log_nf), float(abs(coeffs[-1]) ** 2), f.params)
+
+    return grow_cutoff(build, cutoff, tail_tol, limit)
 
 
-def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> FockVector:
+def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> np.ndarray:
     """Eigenstate of the TPT ladder operator b, built from its own amplitudes.
 
     Uses the recurrence c_n sqrt(n (2 lam + n - 1)/(2 lam)) = alpha c_{n-1}
@@ -177,15 +197,15 @@ def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> FockVect
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
     alpha = _amplitude(alpha)
     if alpha == 0:
-        return FockVector.vacuum(cutoff)
+        return _vacuum(cutoff)
     n = np.arange(1, cutoff, dtype=float)
     amp = np.sqrt(n * (2.0 * lam + n - 1.0) / (2.0 * lam))
     logmag = np.concatenate(([0.0], np.cumsum(math.log(abs(alpha)) - np.log(amp))))
     coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
-    return FockVector(coeffs)
+    return coeffs
 
 
-def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> CoherentStateResult:
+def closed_form_bg_coefficients(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Annihilation-eigenstate coefficients from their gamma-function closed form.
 
     For f^2(n) = (n + c)/d, with d = 1/slope and c = intercept/slope,
@@ -196,12 +216,11 @@ def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> 
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    f = deformation_for(p)
     d = f.su11_scale
     c = f.intercept / f.slope
     alpha = _amplitude(alpha)
     if alpha == 0:
-        coeffs = FockVector.vacuum(cutoff).coeffs
+        coeffs = _vacuum(cutoff)
     else:
         n = np.arange(cutoff, dtype=float)
         half_log = n * math.log(d) + gammaln(1.0 + c) - gammaln(n + 1.0) - gammaln(n + 1.0 + c)
@@ -209,7 +228,7 @@ def closed_form_bg_coefficients(p: ModelParams, alpha: complex, cutoff: int) -> 
         coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
     # the raw family has c_0 = 1, so the normalized c_0 is 1/||raw||
     return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
-                               float(abs(coeffs[0])), float(abs(coeffs[-1]) ** 2), p)
+                               float(abs(coeffs[0])), float(abs(coeffs[-1]) ** 2), f.params)
 
 
 def zeta_from_alpha(alpha: complex, f: DeformationFunction) -> complex:
@@ -243,7 +262,7 @@ def _nb_log_amplitudes(r_index: float, zeta: complex, cutoff: int) -> np.ndarray
     )
 
 
-def displacement_state_closed_form(p: ModelParams, zeta: complex, cutoff: int) -> CoherentStateResult:
+def displacement_state_closed_form(f: DeformationFunction, zeta: complex, cutoff: int) -> CoherentStateResult:
     """Displacement coherent state from its closed-form coefficients.
 
     c_n = (1-|zeta|^2)^(r/2) sqrt(Gamma(n + r) / (n! Gamma(r))) zeta^n with
@@ -257,10 +276,10 @@ def displacement_state_closed_form(p: ModelParams, zeta: complex, cutoff: int) -
     zeta = complex(zeta)
     if not abs(zeta) < 1:
         raise DomainError("displacement parameter outside unit disk")
-    r = 2.0 * deformation_for(p).bargmann_index
+    r = 2.0 * f.bargmann_index
     if zeta == 0:
         return CoherentStateResult(
-            FockVector.vacuum(cutoff), Method.DISPLACEMENT_CLOSED_FORM, zeta, 1.0, 0.0, p
+            FockVector(_vacuum(cutoff)), Method.DISPLACEMENT_CLOSED_FORM, zeta, 1.0, 0.0, f.params
         )
     mags = np.exp(_nb_log_amplitudes(r, zeta, cutoff))
     finite = float(np.sum(mags**2))
@@ -269,7 +288,7 @@ def displacement_state_closed_form(p: ModelParams, zeta: complex, cutoff: int) -
     raw = mags * np.exp(1j * cmath.phase(zeta) * n)
     state = FockVector(raw / math.sqrt(finite))
     c0 = (1.0 - abs(zeta) ** 2) ** (r / 2.0)
-    return CoherentStateResult(state, Method.DISPLACEMENT_CLOSED_FORM, zeta, c0, tail, p)
+    return CoherentStateResult(state, Method.DISPLACEMENT_CLOSED_FORM, zeta, c0, tail, f.params)
 
 
 def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cutoff: int) -> np.ndarray:
@@ -346,31 +365,38 @@ def displacement_state_factored(
     scale = math.sqrt(f.su11_scale)
     amp = ladder_amplitudes(f, cutoff)
     n = np.arange(cutoff, dtype=float)
-    image = exp_ladder_apply(amp, -np.conj(zeta) * scale, FockVector.vacuum(cutoff).coeffs, False)
+    image = exp_ladder_apply(amp, -np.conj(zeta) * scale, _vacuum(cutoff), False)
     image = (1.0 - abs(zeta) ** 2) ** (f.bargmann_index + n) * image
     image = exp_ladder_apply(amp, zeta * scale, image, True)
     return _renormalized_image(image, Method.DISPLACEMENT_FACTORED, zeta, f, tail_tol)
 
 
-def compare_states(u: FockVector, v: FockVector) -> tuple[float, float]:
-    """Phase-aligned maximum coefficient difference and infidelity.
+def _unit_state(c, caller: str) -> np.ndarray:
+    """``c`` as a complex array, which must be 1-D with norm 1 to within 1e-9."""
+    c = np.asarray(c, dtype=complex)
+    norm = float(np.linalg.norm(c))
+    if c.ndim != 1 or not abs(norm - 1.0) <= 1e-9:
+        raise DomainError(f"{caller} expects a normalized 1-D state; shape {c.shape}, norm = {norm!r}")
+    return c
+
+
+def compare_states(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Phase-aligned maximum coefficient difference and infidelity of two states.
 
     Physical states are rays, so v is rotated by the global phase that
     aligns its largest-|u| coefficient with u before differencing.
     Returns (max_n |u_n - v_n e^{i theta}|, 1 - |<u|v>|^2).
     """
-    if u.cutoff != v.cutoff:
-        raise SizeMismatchError(f"cutoffs differ: {u.cutoff} vs {v.cutoff}")
-    for name, vec in (("u", u), ("v", v)):
-        if abs(vec.norm() - 1.0) > 1e-9:
-            raise DomainError(f"compare_states expects normalized inputs; |{name}| = {vec.norm()!r}")
-    i = int(np.argmax(np.abs(u.coeffs)))
-    if abs(v.coeffs[i]) > 0:
-        rot = cmath.exp(1j * (cmath.phase(u.coeffs[i]) - cmath.phase(v.coeffs[i])))
+    if np.size(u) != np.size(v):
+        raise SizeMismatchError(f"cutoffs differ: {np.size(u)} vs {np.size(v)}")
+    u, v = _unit_state(u, "compare_states"), _unit_state(v, "compare_states")
+    i = int(np.argmax(np.abs(u)))
+    if abs(v[i]) > 0:
+        rot = cmath.exp(1j * (cmath.phase(u[i]) - cmath.phase(v[i])))
     else:
         rot = 1.0
-    diff = float(np.max(np.abs(u.coeffs - v.coeffs * rot)))
-    fidelity = abs(complex(np.vdot(u.coeffs, v.coeffs))) ** 2
+    diff = float(np.max(np.abs(u - v * rot)))
+    fidelity = abs(complex(np.vdot(u, v))) ** 2
     return diff, max(0.0, 1.0 - fidelity)
 
 
@@ -381,30 +407,29 @@ class PhotonStatistics:
     mandel_q: Optional[float]  # None when the mean occupation vanishes
 
 
-def photon_statistics(v: FockVector) -> PhotonStatistics:
+def photon_statistics(c: np.ndarray) -> PhotonStatistics:
     """Mean occupation, variance, and Mandel Q = Var/<n> - 1 of a normalized state."""
-    if abs(v.norm() - 1.0) > 1e-9:
-        raise DomainError(f"photon_statistics expects a normalized state; norm = {v.norm()!r}")
-    n = np.arange(v.cutoff, dtype=float)
-    p = np.abs(v.coeffs) ** 2
+    c = _unit_state(c, "photon_statistics")
+    n = np.arange(c.size, dtype=float)
+    p = np.abs(c) ** 2
     mean = float(np.sum(n * p))
     var = max(0.0, float(np.sum(n * n * p)) - mean**2)
     q = var / mean - 1.0 if mean > 0 else None
     return PhotonStatistics(mean, var, q)
 
 
-def glauber_coefficients(alpha: complex, cutoff: int) -> FockVector:
+def glauber_coefficients(alpha: complex, cutoff: int) -> np.ndarray:
     """Harmonic-oscillator coherent-state coefficients e^{-|a|^2/2} alpha^n / sqrt(n!),
     renormalized on the truncation."""
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
     alpha = _amplitude(alpha)
     if alpha == 0:
-        return FockVector.vacuum(cutoff)
+        return _vacuum(cutoff)
     n = np.arange(cutoff, dtype=float)
     logmag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
     coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
-    return FockVector(coeffs)
+    return coeffs
 
 
 def harmonic_limit_deviation(alpha: complex, lambdas: Sequence[float], cutoff: int) -> list[float]:
@@ -417,6 +442,6 @@ def harmonic_limit_deviation(alpha: complex, lambdas: Sequence[float], cutoff: i
     glauber = glauber_coefficients(alpha, cutoff)
     out = []
     for lam in lambdas:
-        state = closed_form_bg_coefficients(ModelParams.tpt(lam), alpha, cutoff).state
-        out.append(float(np.max(np.abs(state.coeffs - glauber.coeffs))))
+        state = closed_form_bg_coefficients(tpt_deformation(ModelParams.tpt(lam)), alpha, cutoff).state
+        out.append(float(np.max(np.abs(state.coeffs - glauber))))
     return out

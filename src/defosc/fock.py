@@ -1,13 +1,14 @@
 """Truncated Fock-space representation of deformed oscillator algebras.
 
-Operators live on the first N number states, and a state is a
-:class:`FockVector`, just its validated coefficient vector.  A ladder
-operator is stored as its single off-diagonal, the amplitude vector
-amp[n-1] = sqrt(n f^2(n)), and a deformed Hamiltonian as its diagonal.
-The one dense matrix kept is :class:`OperatorMatrix`, for the
-:func:`matrix_exponential` of the direct displacement route; it keeps the
-real or complex dtype it is given, so the real skew generator of that
-route is exponentiated in real arithmetic.
+Operators live on the first N number states, and a state is a plain
+complex coefficient array.  :class:`FockVector` is that array validated,
+as the ``state`` of the :class:`~defosc.coherent.CoherentStateResult` a
+construction route returns.  A ladder operator is stored as its single
+off-diagonal, the amplitude vector amp[n-1] = sqrt(n f^2(n)), and a
+deformed Hamiltonian as its diagonal.  The one dense matrix kept is
+:class:`OperatorMatrix`, for the :func:`matrix_exponential` of the direct
+displacement route; it keeps the real or complex dtype it is given, so the
+real skew generator of that route is exponentiated in real arithmetic.
 
 Truncation policy: identities that involve a product of a raising and a
 lowering step fail on the last basis index because the coupling to level N
@@ -38,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FockVector:
-    """Validated complex coefficient vector on the truncated number basis.
+    """Validated 1-D complex coefficient array on the truncated number basis.
 
     Instances are treated as immutable values; construction diagnostics
     such as the tail mass live on the result that produced the vector.
@@ -54,27 +55,6 @@ class FockVector:
     @property
     def cutoff(self) -> int:
         return self.coeffs.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def normalized(self) -> "FockVector":
-        nrm = self.norm()
-        if nrm == 0:
-            raise DomainError("cannot normalize the zero vector")
-        return FockVector(self.coeffs / nrm)
-
-    @classmethod
-    def vacuum(cls, cutoff: int) -> "FockVector":
-        return cls.basis_state(0, cutoff)
-
-    @classmethod
-    def basis_state(cls, n: int, cutoff: int) -> "FockVector":
-        if not 0 <= n < cutoff:
-            raise DomainError(f"basis index {n} outside cutoff {cutoff}")
-        c = np.zeros(cutoff, dtype=complex)
-        c[n] = 1.0
-        return cls(c)
 
 
 @dataclass(frozen=True)

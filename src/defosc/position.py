@@ -52,7 +52,6 @@ import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_gegenbauer, roots_genlaguerre
 
 from .errors import DomainError, QuadratureError
-from .fock import FockVector
 from .models import Model, ModelParams
 
 __all__ = [
@@ -228,12 +227,14 @@ def gauss_levels(p: ModelParams, n_max: int, order: int) -> np.ndarray:
     return _radial_recurrence(n_max, p.s, x, root_w)
 
 
-def coherent_wavefunction(c: FockVector, x, p: ModelParams) -> np.ndarray:
-    """Coordinate-space synthesis sum_n c_n psi_n at the points x, real if its
-    imaginary part vanishes."""
-    if abs(c.norm() - 1.0) > 1e-9:
-        raise DomainError(f"coherent_wavefunction expects a normalized state; norm = {c.norm()!r}")
-    values = c.coeffs @ _family(p)(c.cutoff - 1, x, p)
+def coherent_wavefunction(c: np.ndarray, x, p: ModelParams) -> np.ndarray:
+    """Coordinate-space synthesis sum_n c_n psi_n of the coefficient array c
+    at the points x, real if its imaginary part vanishes."""
+    c = np.asarray(c, dtype=complex)
+    norm = float(np.linalg.norm(c))
+    if c.ndim != 1 or not abs(norm - 1.0) <= 1e-9:
+        raise DomainError(f"coherent_wavefunction expects a normalized 1-D state; norm = {norm!r}")
+    values = c @ _family(p)(c.size - 1, x, p)
     return values if np.any(values.imag) else values.real
 
 

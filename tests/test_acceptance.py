@@ -139,16 +139,15 @@ def test_criterion_3_coefficient_identity():
     start = time.perf_counter()
     worst = 0.0
     for lam, alpha in _random_draws():
-        p = ModelParams.tpt(lam)
-        f = tpt_deformation(p)
+        f = tpt_deformation(ModelParams.tpt(lam))
         by_deformed = annihilation_eigenstate(f, alpha, cutoff, tail_tol=1.0,
                                               max_cutoff=cutoff).state.coeffs
-        by_ladder = tpt_ladder_coefficients(lam, alpha, cutoff).coeffs
-        by_gamma = closed_form_bg_coefficients(p, alpha, cutoff).state.coeffs
+        by_ladder = tpt_ladder_coefficients(lam, alpha, cutoff)
+        by_gamma = closed_form_bg_coefficients(f, alpha, cutoff).state.coeffs
         worst = max(worst, float(np.max(np.abs(by_deformed - by_ladder))))
         worst = max(worst, float(np.max(np.abs(by_deformed - by_gamma))))
         zeta = zeta_from_alpha(alpha, f)
-        res = displacement_state_closed_form(p, zeta, cutoff)
+        res = displacement_state_closed_form(f, zeta, cutoff)
         raw_gamma = res.state.coeffs * math.sqrt(max(0.0, 1.0 - res.tail_mass))
         raw_deformed = deformed_displacement_coefficients(f, zeta, cutoff)
         worst = max(worst, float(np.max(np.abs(raw_gamma - raw_deformed))))
@@ -184,7 +183,8 @@ def test_criterion_5_displacement_normalization():
     worst = 0.0
     for lam in (0.75, 2.0, 10.0, 20.0):
         for zmag in (0.3, 0.6, 0.9):
-            res = displacement_state_closed_form(ModelParams.tpt(lam), zmag * np.exp(0.4j), cutoff)
+            res = displacement_state_closed_form(tpt_deformation(ModelParams.tpt(lam)), zmag * np.exp(0.4j),
+                                                cutoff)
             finite = 1.0 - res.tail_mass
             worst = max(worst, abs(finite + nb_tail(2.0 * lam, zmag, cutoff) - 1.0))
     runtime = time.perf_counter() - start
@@ -287,4 +287,4 @@ def test_glauber_reference_consistency():
     # sanity anchor for the suite: the undeformed displacement reproduces
     # the Poissonian coefficient family
     direct = displacement_state_direct(harmonic_deformation(), 1.0, 64).state.coeffs
-    assert np.max(np.abs(direct - glauber_coefficients(1.0, 64).coeffs)) < 1e-10
+    assert np.max(np.abs(direct - glauber_coefficients(1.0, 64))) < 1e-10

@@ -9,7 +9,6 @@ from scipy.special import gammaln
 
 from defosc import (
     DomainError,
-    FockVector,
     Method,
     Model,
     ModelParams,
@@ -23,6 +22,7 @@ from defosc import (
     displacement_state_direct,
     displacement_state_factored,
     glauber_coefficients,
+    grow_cutoff,
     harmonic_deformation,
     harmonic_limit_deviation,
     ladder_amplitudes,
@@ -37,6 +37,12 @@ from defosc.coherent import MAX_CUTOFF_ENV, max_auto_cutoff
 from defosc.fock import matrix_exponential
 
 TPT2 = tpt_deformation(ModelParams.tpt(2.0))
+
+
+def basis(n, cutoff):
+    c = np.zeros(cutoff, dtype=complex)
+    c[n] = 1.0
+    return c
 
 
 def negative_binomial_tail(r_index, zeta, start):
@@ -71,14 +77,14 @@ class TestAnnihilationEigenstate:
     def test_zero_amplitude_gives_vacuum(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
         res = annihilation_eigenstate(f, 0.0, 16)
-        assert np.array_equal(res.state.coeffs, FockVector.vacuum(16).coeffs)
+        assert np.array_equal(res.state.coeffs, basis(0, 16))
         assert res.tail_mass == 0.0
 
     def test_result_metadata(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
         res = annihilation_eigenstate(f, 0.5, 32)
         assert res.method is Method.ANNIHILATION_EIGENSTATE
-        assert res.state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(res.state.coeffs) == pytest.approx(1.0, abs=1e-12)
         assert res.model is not None and res.model.lam == 2.0
         # normalization constant rescales the raw family (c_0 = 1) to unit norm
         assert res.state.coeffs[0].real == pytest.approx(res.normalization_constant, rel=1e-12)
@@ -116,30 +122,52 @@ class TestAnnihilationEigenstate:
         assert np.max(np.abs(image[:-1] - alpha * c[:-1])) < 1e-10
 
 
+class TestGrowCutoff:
+    def test_doubles_until_the_tail_meets_the_tolerance(self):
+        tried = []
+
+        def build(n):
+            tried.append(n)
+            return displacement_state_closed_form(TPT2, 0.9, n)
+
+        res = grow_cutoff(build, 16, 1e-12)
+        assert tried == [16 * 2**k for k in range(len(tried))] and len(tried) > 1
+        assert res.state.cutoff == tried[-1] and res.tail_mass <= 1e-12
+        assert displacement_state_closed_form(TPT2, 0.9, tried[-2]).tail_mass > 1e-12
+
+    def test_cap(self, monkeypatch):
+        with pytest.raises(TruncationError, match="cap 32"):
+            grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.9, n), 16, 1e-12, 32)
+        # the default cap is read only once a doubling is needed
+        monkeypatch.setenv(MAX_CUTOFF_ENV, "junk")
+        assert grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.0, n), 16, 1e-12).tail_mass == 0.0
+        with pytest.raises(DomainError):
+            grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.9, n), 16, 1e-12)
+
+
 class TestClosedFormCoefficients:
     def test_tpt_first_ratio(self):
-        p = ModelParams.tpt(2.0)
-        c = closed_form_bg_coefficients(p, 0.5, 16).state.coeffs
+        c = closed_form_bg_coefficients(TPT2, 0.5, 16).state.coeffs
         assert c[1] / c[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_pseudoharmonic_first_ratio(self):
-        p = ModelParams.pseudoharmonic(1.0)
-        c = closed_form_bg_coefficients(p, 1.0, 16).state.coeffs
+        f = pseudoharmonic_deformation(1.0)
+        c = closed_form_bg_coefficients(f, 1.0, 16).state.coeffs
         assert c[1] / c[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
 
     def test_zero_amplitude(self):
-        p = ModelParams.pseudoharmonic(1.0)
-        assert np.array_equal(closed_form_bg_coefficients(p, 0.0, 8).state.coeffs,
-                              FockVector.vacuum(8).coeffs)
+        f = pseudoharmonic_deformation(1.0)
+        assert np.array_equal(closed_form_bg_coefficients(f, 0.0, 8).state.coeffs,
+                              basis(0, 8))
 
     def test_harmonic_not_covered(self):
         with pytest.raises(DomainError):
-            closed_form_bg_coefficients(ModelParams.harmonic(), 1.0, 8)
+            closed_form_bg_coefficients(harmonic_deformation(), 1.0, 8)
 
     @pytest.mark.parametrize("p", [ModelParams.tpt(2.0), ModelParams.pseudoharmonic(1.5)])
     def test_result_metadata(self, p):
         alpha, cutoff = 1.3 * np.exp(0.4j), 32
-        res = closed_form_bg_coefficients(p, alpha, cutoff)
+        res = closed_form_bg_coefficients(deformation_for(p), alpha, cutoff)
         rec = annihilation_eigenstate(deformation_for(p), alpha, cutoff, tail_tol=1.0, max_cutoff=cutoff)
         assert res.method is Method.ANNIHILATION_EIGENSTATE
         assert res.model == p
@@ -149,20 +177,19 @@ class TestClosedFormCoefficients:
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0])
     @pytest.mark.parametrize("amag", [0.5, 2.0, 4.0])
     def test_matches_recurrence_tpt(self, lam, amag):
-        p = ModelParams.tpt(lam)
+        f = tpt_deformation(ModelParams.tpt(lam))
         alpha = amag * np.exp(0.4j)
-        rec = annihilation_eigenstate(tpt_deformation(p), alpha, 96, tail_tol=1.0, max_cutoff=96)
-        closed = closed_form_bg_coefficients(p, alpha, 96)
+        rec = annihilation_eigenstate(f, alpha, 96, tail_tol=1.0, max_cutoff=96)
+        closed = closed_form_bg_coefficients(f, alpha, 96)
         assert np.max(np.abs(rec.state.coeffs - closed.state.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("s", [0.75, 2.0, 10.0])
     @pytest.mark.parametrize("amag", [0.5, 2.0, 4.0])
     def test_matches_recurrence_pseudoharmonic(self, s, amag):
-        p = ModelParams.pseudoharmonic(s)
+        f = pseudoharmonic_deformation(s)
         alpha = amag * np.exp(-1.1j)
-        rec = annihilation_eigenstate(pseudoharmonic_deformation(s), alpha, 96,
-                                      tail_tol=1.0, max_cutoff=96)
-        closed = closed_form_bg_coefficients(p, alpha, 96)
+        rec = annihilation_eigenstate(f, alpha, 96, tail_tol=1.0, max_cutoff=96)
+        closed = closed_form_bg_coefficients(f, alpha, 96)
         assert np.max(np.abs(rec.state.coeffs - closed.state.coeffs)) < 1e-12
 
     # lam >= 3e4 is left out: gammaln cancellation there costs about 3e-11
@@ -184,7 +211,7 @@ class TestClosedFormCoefficients:
                        for n in range(64)]
                 norm = mp.sqrt(mp.fsum(abs(v) ** 2 for v in raw))
                 ref = np.array([complex(v / norm) for v in raw])
-                got = closed_form_bg_coefficients(p, alpha, 64).state.coeffs
+                got = closed_form_bg_coefficients(deformation_for(p), alpha, 64).state.coeffs
                 assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_ladder_route_identical(self):
@@ -195,7 +222,7 @@ class TestClosedFormCoefficients:
         lad = tpt_ladder_coefficients(lam, alpha, 64)
         deformed = annihilation_eigenstate(tpt_deformation(p), alpha, 64,
                                            tail_tol=1.0, max_cutoff=64)
-        assert np.max(np.abs(lad.coeffs - deformed.state.coeffs)) < 1e-13
+        assert np.max(np.abs(lad - deformed.state.coeffs)) < 1e-13
 
 
 class TestZetaMap:
@@ -221,46 +248,42 @@ class TestZetaMap:
 
 class TestDisplacementClosedForm:
     def test_first_coefficients(self):
-        p = ModelParams.tpt(2.0)
-        res = displacement_state_closed_form(p, 0.5, 32)
+        res = displacement_state_closed_form(TPT2, 0.5, 32)
         raw = res.state.coeffs * math.sqrt(1.0 - res.tail_mass)
         assert raw[0].real == pytest.approx(0.5625, abs=1e-13)
         assert raw[1].real == pytest.approx(0.5625, abs=1e-13)
         assert res.normalization_constant == pytest.approx(0.5625, abs=1e-13)
 
     def test_zero_parameter(self):
-        res = displacement_state_closed_form(ModelParams.tpt(2.0), 0.0, 8)
-        assert np.array_equal(res.state.coeffs, FockVector.vacuum(8).coeffs)
+        res = displacement_state_closed_form(TPT2, 0.0, 8)
+        assert np.array_equal(res.state.coeffs, basis(0, 8))
 
     def test_outside_unit_disk(self):
         for zeta in (1.0, math.nan, complex(0.0, math.inf)):
             with pytest.raises(DomainError, match="outside unit disk"):
-                displacement_state_closed_form(ModelParams.tpt(2.0), zeta, 8)
+                displacement_state_closed_form(TPT2, zeta, 8)
             with pytest.raises(DomainError, match="outside unit disk"):
                 deformed_displacement_coefficients(TPT2, zeta, 8)
 
     @pytest.mark.parametrize("lam", [0.75, 2.0, 10.0, 20.0])
     @pytest.mark.parametrize("zmag", [0.3, 0.6, 0.9])
     def test_exact_normalization_with_independent_tail(self, lam, zmag):
-        res = displacement_state_closed_form(ModelParams.tpt(lam), zmag * np.exp(0.7j), 64)
+        res = displacement_state_closed_form(tpt_deformation(ModelParams.tpt(lam)), zmag * np.exp(0.7j), 64)
         finite = 1.0 - res.tail_mass
         tail = negative_binomial_tail(2.0 * lam, zmag, 64)
         assert finite + tail == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
     def test_pseudoharmonic_family_normalization(self, s):
-        res = displacement_state_closed_form(ModelParams.pseudoharmonic(s), 0.8, 64)
+        res = displacement_state_closed_form(pseudoharmonic_deformation(s), 0.8, 64)
         finite = 1.0 - res.tail_mass
         tail = negative_binomial_tail(2.0 * s + 1.0, 0.8, 64)
         assert finite + tail == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_deformed_route(self):
-        for p, f in (
-            (ModelParams.tpt(2.0), tpt_deformation(ModelParams.tpt(2.0))),
-            (ModelParams.pseudoharmonic(1.0), pseudoharmonic_deformation(1.0)),
-        ):
+        for f in (TPT2, pseudoharmonic_deformation(1.0)):
             zeta = 0.45 * np.exp(1.3j)
-            res = displacement_state_closed_form(p, zeta, 48)
+            res = displacement_state_closed_form(f, zeta, 48)
             raw_closed = res.state.coeffs * math.sqrt(1.0 - res.tail_mass)
             raw_deformed = deformed_displacement_coefficients(f, zeta, 48)
             assert np.max(np.abs(raw_closed - raw_deformed)) < 1e-13
@@ -269,18 +292,16 @@ class TestDisplacementClosedForm:
 class TestDisplacementOperatorRoutes:
     def test_direct_harmonic_matches_glauber(self):
         res = displacement_state_direct(harmonic_deformation(), 1.0, 64)
-        assert np.max(np.abs(res.state.coeffs - glauber_coefficients(1.0, 64).coeffs)) < 1e-10
+        assert np.max(np.abs(res.state.coeffs - glauber_coefficients(1.0, 64))) < 1e-10
 
     def test_direct_matches_closed_form(self):
-        p = ModelParams.tpt(2.0)
-        f = tpt_deformation(p)
-        res = displacement_state_direct(f, 0.5, 64)
-        closed = displacement_state_closed_form(p, zeta_from_alpha(0.5, f), 64)
+        res = displacement_state_direct(TPT2, 0.5, 64)
+        closed = displacement_state_closed_form(TPT2, zeta_from_alpha(0.5, TPT2), 64)
         assert np.max(np.abs(res.state.coeffs - closed.state.coeffs)) < 1e-9
 
     def test_direct_zero(self):
         res = displacement_state_direct(tpt_deformation(ModelParams.tpt(2.0)), 0.0, 16)
-        assert np.allclose(res.state.coeffs, FockVector.vacuum(16).coeffs, atol=1e-15)
+        assert np.allclose(res.state.coeffs, basis(0, 16), atol=1e-15)
 
     def test_direct_truncation_error(self):
         with pytest.raises(TruncationError):
@@ -301,7 +322,7 @@ class TestDisplacementOperatorRoutes:
     def test_factored_zero_is_identity(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
         res = displacement_state_factored(f, 0.0, 6)
-        assert np.array_equal(res.state.coeffs, FockVector.vacuum(6).coeffs)
+        assert np.array_equal(res.state.coeffs, basis(0, 6))
         assert res.normalization_constant == 1.0
 
     def test_factored_needs_no_dense_exponential(self, monkeypatch):
@@ -314,7 +335,7 @@ class TestDisplacementOperatorRoutes:
                          (ModelParams.pseudoharmonic(1.0), 0.4)):
             f = deformation_for(p)
             fact = displacement_state_factored(f, alpha, 64)
-            closed = displacement_state_closed_form(p, zeta_from_alpha(alpha, f), 64)
+            closed = displacement_state_closed_form(f, zeta_from_alpha(alpha, f), 64)
             assert np.max(np.abs(fact.state.coeffs - closed.state.coeffs)) < 1e-12
 
     @pytest.mark.parametrize("lam", [2.0, 10.0])
@@ -331,9 +352,7 @@ class TestDisplacementOperatorRoutes:
         direct = displacement_state_direct(f, 0.4, 64)
         fact = displacement_state_factored(f, 0.4, 64)
         assert np.max(np.abs(direct.state.coeffs - fact.state.coeffs)) < 1e-9
-        closed = displacement_state_closed_form(
-            ModelParams.pseudoharmonic(1.0), zeta_from_alpha(0.4, f), 64
-        )
+        closed = displacement_state_closed_form(f, zeta_from_alpha(0.4, f), 64)
         assert np.max(np.abs(direct.state.coeffs - closed.state.coeffs)) < 1e-9
 
     def test_no_su11_structure_for_harmonic_factoring(self):
@@ -386,19 +405,18 @@ class TestDirectRouteGauge:
 
 class TestCompareStates:
     def test_equal_states(self):
-        c = closed_form_bg_coefficients(ModelParams.tpt(2.0), 0.5, 16).state
+        c = closed_form_bg_coefficients(TPT2, 0.5, 16).state.coeffs
         assert compare_states(c, c) == (0.0, 0.0)
 
     def test_orthogonal_basis_states(self):
-        diff, infid = compare_states(FockVector.basis_state(0, 8), FockVector.basis_state(1, 8))
+        diff, infid = compare_states(basis(0, 8), basis(1, 8))
         assert diff == pytest.approx(1.0)
         assert infid == pytest.approx(1.0)
 
     def test_bg_and_displacement_families_differ(self):
-        p = ModelParams.tpt(2.0)
         alpha = 0.5
-        bg = closed_form_bg_coefficients(p, alpha, 48).state
-        disp = displacement_state_closed_form(p, zeta_from_alpha(alpha, TPT2), 48).state
+        bg = closed_form_bg_coefficients(TPT2, alpha, 48).state.coeffs
+        disp = displacement_state_closed_form(TPT2, zeta_from_alpha(alpha, TPT2), 48).state.coeffs
         diff, infid = compare_states(bg, disp)
         assert diff > 1e-3
         assert infid > 1e-5
@@ -406,21 +424,21 @@ class TestCompareStates:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(phase=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_global_phase_invariance(self, phase):
-        u = closed_form_bg_coefficients(ModelParams.tpt(2.0), 0.7, 24).state
-        v = FockVector(u.coeffs * np.exp(1j * phase))
+        u = closed_form_bg_coefficients(TPT2, 0.7, 24).state.coeffs
+        v = u * np.exp(1j * phase)
         diff, infid = compare_states(u, v)
         assert diff < 1e-12
         assert infid < 1e-12
 
     def test_requires_normalized(self):
-        u = FockVector(np.ones(4, dtype=complex))
+        u = np.ones(4, dtype=complex)
         with pytest.raises(DomainError):
             compare_states(u, u)
 
 
 class TestPhotonStatistics:
     def test_vacuum(self):
-        stats = photon_statistics(FockVector.vacuum(8))
+        stats = photon_statistics(basis(0, 8))
         assert stats.mean_n == 0.0
         assert stats.variance_n == 0.0
         assert stats.mandel_q is None
@@ -433,8 +451,8 @@ class TestPhotonStatistics:
 
     def test_displacement_state_is_super_poissonian(self):
         # weights |c_n|^2 follow a negative-binomial law: Q = 1/3 at lam=2, zeta=0.5
-        res = displacement_state_closed_form(ModelParams.tpt(2.0), 0.5, 128)
-        stats = photon_statistics(res.state)
+        res = displacement_state_closed_form(TPT2, 0.5, 128)
+        stats = photon_statistics(res.state.coeffs)
         assert stats.mandel_q is not None and stats.mandel_q > 0
         assert stats.mean_n == pytest.approx(4.0 / 3.0, abs=1e-10)
         assert stats.variance_n == pytest.approx(16.0 / 9.0, abs=1e-9)
@@ -455,8 +473,8 @@ class TestHarmonicLimit:
         lam = 500.0
         (dev,) = harmonic_limit_deviation(1.0, [lam], 64)
         oracle = np.max(np.abs(
-            closed_form_bg_coefficients(ModelParams.tpt(lam), 1.0, 64).state.coeffs
-            - glauber_coefficients(1.0, 64).coeffs
+            closed_form_bg_coefficients(tpt_deformation(ModelParams.tpt(lam)), 1.0, 64).state.coeffs
+            - glauber_coefficients(1.0, 64)
         ))
         assert dev == pytest.approx(float(oracle), rel=1e-12)
 
@@ -470,11 +488,11 @@ class TestStructuralIdentity:
     )
     def test_eigenstate_families_coincide(self, lam, amag, phase):
         alpha = amag * np.exp(1j * phase)
-        p = ModelParams.tpt(lam)
-        a = annihilation_eigenstate(tpt_deformation(p), alpha, 64, tail_tol=1.0, max_cutoff=64)
+        f = tpt_deformation(ModelParams.tpt(lam))
+        a = annihilation_eigenstate(f, alpha, 64, tail_tol=1.0, max_cutoff=64)
         b = tpt_ladder_coefficients(lam, alpha, 64)
-        c = closed_form_bg_coefficients(p, alpha, 64)
-        assert np.max(np.abs(a.state.coeffs - b.coeffs)) < 1e-12
+        c = closed_form_bg_coefficients(f, alpha, 64)
+        assert np.max(np.abs(a.state.coeffs - b)) < 1e-12
         assert np.max(np.abs(a.state.coeffs - c.state.coeffs)) < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -485,10 +503,9 @@ class TestStructuralIdentity:
     )
     def test_displacement_families_coincide(self, lam, amag, phase):
         alpha = amag * np.exp(1j * phase)
-        p = ModelParams.tpt(lam)
-        f = tpt_deformation(p)
+        f = tpt_deformation(ModelParams.tpt(lam))
         zeta = zeta_from_alpha(alpha, f)
-        res = displacement_state_closed_form(p, zeta, 64)
+        res = displacement_state_closed_form(f, zeta, 64)
         raw_closed = res.state.coeffs * math.sqrt(max(0.0, 1.0 - res.tail_mass))
         raw_deformed = deformed_displacement_coefficients(f, zeta, 64)
         assert np.max(np.abs(raw_closed - raw_deformed)) < 1e-12

@@ -60,7 +60,7 @@ class TestLadderMatrices:
     def test_strictly_one_off_diagonal(self):
         # each power of a ladder operator moves a basis state by exactly one level
         amp = ladder_amplitudes(pseudoharmonic_deformation(1.0), 12)
-        start = FockVector.basis_state(5, 12).coeffs
+        start = np.eye(12, dtype=complex)[5]
         up = exp_ladder_apply(amp, 0.3, start, raising=True)
         down = exp_ladder_apply(amp, 0.3, start, raising=False)
         assert np.count_nonzero(up[:5]) == 0 and np.count_nonzero(down[6:]) == 0
@@ -188,7 +188,7 @@ class TestMatrixExponential:
         n = np.arange(64)
         expected = np.exp(-0.5) / np.sqrt([math.factorial(int(k)) for k in n[:20]])
         assert np.allclose(col[:20].real, expected, atol=1e-10)
-        assert np.max(np.abs(col - glauber_coefficients(1.0, 64).coeffs)) < 1e-10
+        assert np.max(np.abs(col - glauber_coefficients(1.0, 64))) < 1e-10
 
     def test_against_scipy_oracle(self):
         rng = np.random.default_rng(7)
@@ -265,20 +265,20 @@ class TestApply:
 
     def test_lowering_annihilates_vacuum(self):
         amp = ladder_amplitudes(tpt_deformation(ModelParams.tpt(2.0)), 5)
-        vac = FockVector.vacuum(5).coeffs
+        vac = np.eye(5, dtype=complex)[0]
         # the lowering series stops after its first term, which vanishes
         assert np.array_equal(exp_ladder_apply(amp, 0.7 - 0.2j, vac, raising=False), vac)
 
     def test_raising_vacuum_tpt(self):
         amp = ladder_amplitudes(tpt_deformation(ModelParams.tpt(2.0)), 5)
         assert amp[0] == pytest.approx(1.0, abs=1e-15)  # sqrt(1 * (4+0)/4)
-        out = exp_ladder_apply(amp, 1e-3, FockVector.vacuum(5).coeffs, raising=True)
+        out = exp_ladder_apply(amp, 1e-3, np.eye(5, dtype=complex)[0], raising=True)
         assert out[1] == pytest.approx(1e-3 * amp[0], rel=1e-12)
 
     def test_size_mismatch(self):
         amp = ladder_amplitudes(harmonic_deformation(), 3)
         with pytest.raises(SizeMismatchError):
-            exp_ladder_apply(amp, 0.5, FockVector.vacuum(4).coeffs, raising=True)
+            exp_ladder_apply(amp, 0.5, np.eye(4, dtype=complex)[0], raising=True)
 
     @pytest.mark.parametrize("cutoff", [8, 64])
     @pytest.mark.parametrize("raising", [True, False])
@@ -296,17 +296,9 @@ class TestApply:
 
 
 class TestFockVector:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=24))
-    def test_normalized_has_unit_norm(self, raw):
-        v = FockVector(np.array(raw, dtype=complex))
-        if v.norm() == 0:
+    def test_validated_complex_array(self):
+        v = FockVector([1, 0, 0])
+        assert v.coeffs.dtype == np.complex128 and v.cutoff == 3
+        for bad in (np.zeros(0), np.zeros((2, 2))):
             with pytest.raises(DomainError):
-                v.normalized()
-        else:
-            assert abs(v.normalized().norm() - 1.0) < 1e-12
-
-    def test_basis_state_bounds(self):
-        with pytest.raises(DomainError):
-            FockVector.basis_state(5, 5)
+                FockVector(bad)

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from defosc import (
     DomainError,
-    FockVector,
     ModelParams,
     QuadratureError,
     annihilation_eigenstate,
@@ -319,7 +318,7 @@ class TestCoherentWavefunction:
         p = ModelParams.tpt(2.0, 1.0)
         u = sample_points(p, 200, 8)
         for n in (0, 1):
-            values = coherent_wavefunction(FockVector.basis_state(n, 8), u, p)
+            values = coherent_wavefunction(np.eye(8)[n], u, p)
             assert np.allclose(np.asarray(values, dtype=float), tpt_eigenfunctions(n, u, p)[n],
                                atol=1e-12)
 
@@ -333,7 +332,7 @@ class TestCoherentWavefunction:
     def test_requires_normalized_input(self):
         p = ModelParams.tpt(2.0, 1.0)
         with pytest.raises(DomainError):
-            coherent_wavefunction(FockVector(np.ones(4, dtype=complex)), sample_points(p, 64, 3), p)
+            coherent_wavefunction(np.ones(4, dtype=complex), sample_points(p, 64, 3), p)
 
 
 class TestSamplePoints:
