@@ -305,19 +305,17 @@ def _task_commutators(cfg: RunConfig):
 
 
 def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
-    """The state of ``method`` at the configured cutoff.  The recurrence, and
-    the closed-form displacement of the ``coherent`` task, grow their cutoff
-    until the tail meets ``tail_tol``."""
+    """The state of ``method`` for the state tasks.  The recurrence and the
+    closed forms grow their cutoff until the tail meets ``tail_tol``; the
+    direct and factored routes raise TruncationError at the configured cutoff."""
     cutoff = cfg.settings["cutoff"]
     tail_tol = cfg.settings["tail_tol"]
     if method == "annihilation":
         return cs.annihilation_eigenstate(f, cfg.alpha, cutoff, tail_tol=tail_tol)
     if method == "annihilation-closed-form":
-        return cs.closed_form_bg_coefficients(f, cfg.alpha, cutoff)
+        return cs.grow_cutoff(lambda n: cs.closed_form_bg_coefficients(f, cfg.alpha, n), cutoff, tail_tol)
     if method == "displacement":
         zeta = cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
-        if cfg.task != "coherent":
-            return cs.displacement_state_closed_form(f, zeta, cutoff)
         return cs.grow_cutoff(lambda n: cs.displacement_state_closed_form(f, zeta, n), cutoff, tail_tol)
     if method == "displacement-direct":
         return cs.displacement_state_direct(f, cfg.alpha, cutoff, tail_tol=tail_tol)

@@ -11,6 +11,7 @@ from defosc.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_OK,
+    EXIT_QUADRATURE,
     EXIT_TRUNCATION,
     _commutator_suite,
     emit_csv,
@@ -246,6 +247,16 @@ class TestCoherentTask:
         assert reports["annihilation-closed-form"]["normalization_constant"] == pytest.approx(
             reports["annihilation"]["normalization_constant"], rel=1e-12)
 
+    def test_closed_form_eigenstate_grows_cutoff(self, tmp_path):
+        # at cutoff 128 the closed form's last weight is 0.59; the run exited 1
+        used = {}
+        for method in ("annihilation", "annihilation-closed-form"):
+            out = str(tmp_path / method)
+            assert main(["coherent", "--param", f'method="{method}"', "--param", "alpha_re=100.0",
+                         "--out", out]) == EXIT_OK
+            used[method] = json.loads(read(os.path.join(out, "report.json")))["cutoff_used"]
+        assert used == {"annihilation": 512, "annihilation-closed-form": 512}
+
     def test_check_tol_applied(self, tmp_path):
         out = str(tmp_path / "r")
         assert main(["coherent", "--param", "check_tol=1e-300", "--out", out]) == EXIT_CHECK_FAILED
@@ -336,6 +347,20 @@ class TestOtherTasks:
                      "--param", "cutoff=512", "--out", out]) == EXIT_OK
         report = json.loads(read(os.path.join(out, "report.json")))
         assert abs(report["quadrature_norm"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("method, model, alpha_re", [("annihilation-closed-form", "tpt", 100.0),
+                                                         ("displacement", "pseudoharmonic", 1.9)])
+    def test_wavefunction_closed_forms_meet_tail_tol(self, tmp_path, monkeypatch, method, model, alpha_re):
+        # at cutoff 128 the first state's last weight is 0.59 and the second
+        # drops 7.7e-4 of the mass; both runs exited 0 with the truncated state
+        monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "128")
+        assert main(["wavefunction", "--param", f'method="{method}"', "--param", f'model="{model}"',
+                     "--param", f"alpha_re={alpha_re}", "--out", str(tmp_path / "r")]) == EXIT_TRUNCATION
+
+    def test_wavefunction_grown_past_laguerre_reach(self, tmp_path):
+        # the grown state occupies 458 levels; SciPy gives no valid 459-node Laguerre rule
+        assert main(["wavefunction", "--param", 'method="displacement"', "--param", 'model="pseudoharmonic"',
+                     "--param", "alpha_re=1.9", "--out", str(tmp_path / "r")]) == EXIT_QUADRATURE
 
     def test_harmonic_limit(self, tmp_path):
         out = str(tmp_path / "r")
