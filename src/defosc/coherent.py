@@ -105,14 +105,14 @@ def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_t
     """``build(n)`` at n = cutoff, 2 cutoff, 4 cutoff, ... until its tail mass is at most ``tail_tol``.
 
     A doubling past ``max_cutoff`` (default :func:`max_auto_cutoff`, read
-    only once a doubling is needed) raises :class:`TruncationError`.
+    before the first build) raises :class:`TruncationError`.
     """
+    limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
     n = cutoff
     while True:
         result = build(n)
         if result.tail_mass <= tail_tol:
             return result
-        limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
         if 2 * n > limit:
             raise TruncationError(
                 f"{result.method.value} tail mass {result.tail_mass:.3e} above tolerance "
@@ -156,16 +156,15 @@ def annihilation_eigenstate(
     """Eigenstate of the deformed annihilation operator A = a f(n).
 
     Coefficients follow c_n = alpha c_{n-1} / (sqrt(n) f(n)) from c_0 = 1
-    are then normalized.  If the relative weight of the last kept
+    and are then normalized.  If the relative weight of the last kept
     coefficient exceeds ``tail_tol`` the cutoff is doubled by
     :func:`grow_cutoff`, up to ``max_cutoff`` (default: DEFOSC_MAX_CUTOFF or
-    4096, read before the first build).
+    4096).
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
     if tail_tol <= 0:
         raise DomainError(f"tail_tol must be positive, got {tail_tol}")
-    limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
     alpha = _amplitude(alpha)
 
     def build(n_kept: int) -> CoherentStateResult:
@@ -180,7 +179,7 @@ def annihilation_eigenstate(
         return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
                                    math.exp(log_nf), float(abs(coeffs[-1]) ** 2), f.params)
 
-    return grow_cutoff(build, cutoff, tail_tol, limit)
+    return grow_cutoff(build, cutoff, tail_tol, max_cutoff)
 
 
 def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> np.ndarray:

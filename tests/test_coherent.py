@@ -138,11 +138,10 @@ class TestGrowCutoff:
     def test_cap(self, monkeypatch):
         with pytest.raises(TruncationError, match="cap 32"):
             grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.9, n), 16, 1e-12, 32)
-        # the default cap is read only once a doubling is needed
+        # a malformed default cap is rejected even when no doubling is needed
         monkeypatch.setenv(MAX_CUTOFF_ENV, "junk")
-        assert grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.0, n), 16, 1e-12).tail_mass == 0.0
         with pytest.raises(DomainError):
-            grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.9, n), 16, 1e-12)
+            grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.0, n), 16, 1e-12)
 
 
 class TestClosedFormCoefficients:
@@ -431,9 +430,11 @@ class TestCompareStates:
         assert infid < 1e-12
 
     def test_requires_normalized(self):
-        u = np.ones(4, dtype=complex)
-        with pytest.raises(DomainError):
-            compare_states(u, u)
+        for u in (np.ones(4, dtype=complex), np.full(4, np.nan), np.eye(4)):
+            with pytest.raises(DomainError):
+                compare_states(u, u)
+            with pytest.raises(DomainError):
+                photon_statistics(u)
 
 
 class TestPhotonStatistics:
