@@ -358,7 +358,8 @@ class TestOtherTasks:
                      "--param", f"alpha_re={alpha_re}", "--out", str(tmp_path / "r")]) == EXIT_TRUNCATION
 
     def test_wavefunction_grown_past_laguerre_reach(self, tmp_path):
-        # the grown state occupies 458 levels; SciPy gives no valid 459-node Laguerre rule
+        # the grown state (cutoff 512) occupies levels 0..458; SciPy gives no valid
+        # 459-node Laguerre rule
         assert main(["wavefunction", "--param", 'method="displacement"', "--param", 'model="pseudoharmonic"',
                      "--param", "alpha_re=1.9", "--out", str(tmp_path / "r")]) == EXIT_QUADRATURE
 
