@@ -304,22 +304,32 @@ def _task_commutators(cfg: RunConfig):
     return ["check", "max_deviation", "tolerance", "passed"], rows, checks, {}
 
 
+# The route of each method, named so that it is looked up on ``cs`` at call
+# time and a wrapper installed there (bench/tracing.py) sees every call.
+# Every route takes (f, alpha or zeta, cutoff).
+_ROUTES = {
+    "annihilation": "annihilation_eigenstate",
+    "annihilation-closed-form": "closed_form_bg_coefficients",
+    "displacement": "displacement_state_closed_form",
+    "displacement-direct": "displacement_state_direct",
+    "displacement-factored": "displacement_state_factored",
+}
+
+
 def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
-    """The state of ``method`` for the state tasks.  The recurrence and the
-    closed forms grow their cutoff until the tail meets ``tail_tol``; the
-    direct and factored routes raise TruncationError at the configured cutoff."""
+    """The state of ``method`` for the state tasks, from one :func:`grow_cutoff` call.
+
+    The recurrence and the closed forms double their cutoff until the tail
+    meets ``tail_tol``, up to DEFOSC_MAX_CUTOFF.  The direct and factored
+    routes do dense N^3 work, so they are pinned to the configured cutoff
+    and raise TruncationError there."""
     cutoff = cfg.settings["cutoff"]
-    tail_tol = cfg.settings["tail_tol"]
-    if method == "annihilation":
-        return cs.annihilation_eigenstate(f, cfg.alpha, cutoff, tail_tol=tail_tol)
-    if method == "annihilation-closed-form":
-        return cs.grow_cutoff(lambda n: cs.closed_form_bg_coefficients(f, cfg.alpha, n), cutoff, tail_tol)
+    route = getattr(cs, _ROUTES[method])
+    parameter = cfg.alpha
     if method == "displacement":
-        zeta = cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
-        return cs.grow_cutoff(lambda n: cs.displacement_state_closed_form(f, zeta, n), cutoff, tail_tol)
-    if method == "displacement-direct":
-        return cs.displacement_state_direct(f, cfg.alpha, cutoff, tail_tol=tail_tol)
-    return cs.displacement_state_factored(f, cfg.alpha, cutoff, tail_tol=tail_tol)
+        parameter = cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
+    pin = cutoff if method in ("displacement-direct", "displacement-factored") else None
+    return cs.grow_cutoff(lambda n: route(f, parameter, n), cutoff, cfg.settings["tail_tol"], pin)
 
 
 def _task_coherent(cfg: RunConfig):
@@ -355,8 +365,8 @@ def _task_compare(cfg: RunConfig):
     tol = cfg.settings["check_tol"]
     alpha = cfg.alpha
     zeta = cs.zeta_from_alpha(alpha, f)
-    bg_rec = cs.annihilation_eigenstate(f, alpha, cutoff, tail_tol=cfg.settings["tail_tol"],
-                                        max_cutoff=cutoff).state.coeffs
+    bg_rec = cs.grow_cutoff(lambda n: cs.annihilation_eigenstate(f, alpha, n), cutoff,
+                            cfg.settings["tail_tol"], max_cutoff=cutoff).state.coeffs
     bg_closed = cs.closed_form_bg_coefficients(f, alpha, cutoff).state.coeffs
     disp_closed = cs.displacement_state_closed_form(f, zeta, cutoff).state.coeffs
     disp_formula = cs.deformed_displacement_coefficients(f, zeta, cutoff)

@@ -21,6 +21,11 @@ which is exactly normalized over the infinite basis.
 Both routes are implemented with distinct arithmetic so that their
 agreement is a genuine cross-check rather than a tautology.
 
+Every route builds at the cutoff it is given and reports the tail mass
+it leaves there; none raises on a large tail.  :func:`grow_cutoff` alone
+holds a tail against a tolerance, doubling the cutoff up to a cap and
+raising :class:`TruncationError` past it.
+
 Coefficient recurrences are accumulated in log magnitude to avoid
 overflow at large |alpha|; normalization constants are computed
 numerically (the eigenstate normalization sum has no elementary closed
@@ -104,8 +109,11 @@ def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_t
                 max_cutoff: Optional[int] = None) -> CoherentStateResult:
     """``build(n)`` at n = cutoff, 2 cutoff, 4 cutoff, ... until its tail mass is at most ``tail_tol``.
 
-    A doubling past ``max_cutoff`` (default :func:`max_auto_cutoff`, read
-    before the first build) raises :class:`TruncationError`.
+    The only place a tail is held against a tolerance: every route builds at
+    the cutoff it is given and reports its tail.  A doubling past
+    ``max_cutoff`` (default :func:`max_auto_cutoff`, read before the first
+    build) raises :class:`TruncationError`; ``max_cutoff=cutoff`` pins the
+    cutoff.
     """
     limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
     n = cutoff
@@ -114,10 +122,10 @@ def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_t
         if result.tail_mass <= tail_tol:
             return result
         if 2 * n > limit:
+            hint = f" (raise {MAX_CUTOFF_ENV} to allow larger bases)" if max_cutoff is None else ""
             raise TruncationError(
                 f"{result.method.value} tail mass {result.tail_mass:.3e} above tolerance "
-                f"{tail_tol:.1e} at cutoff {n}; doubling would exceed the cap {limit} "
-                f"(raise {MAX_CUTOFF_ENV} to allow larger bases)"
+                f"{tail_tol:.1e} at cutoff {n}; doubling would exceed the cap {limit}{hint}"
             )
         n *= 2
 
@@ -146,40 +154,26 @@ def _coefficients_from_log(logmag: np.ndarray, phase_step: float) -> tuple[np.nd
     return coeffs, log_norm_const
 
 
-def annihilation_eigenstate(
-    f: DeformationFunction,
-    alpha: complex,
-    cutoff: int,
-    tail_tol: float = 1e-12,
-    max_cutoff: Optional[int] = None,
-) -> CoherentStateResult:
+def annihilation_eigenstate(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Eigenstate of the deformed annihilation operator A = a f(n).
 
     Coefficients follow c_n = alpha c_{n-1} / (sqrt(n) f(n)) from c_0 = 1
-    and are then normalized.  If the relative weight of the last kept
-    coefficient exceeds ``tail_tol`` the cutoff is doubled by
-    :func:`grow_cutoff`, up to ``max_cutoff`` (default: DEFOSC_MAX_CUTOFF or
-    4096).
+    and are then normalized; the reported tail mass is |c_{N-1}|^2 of the
+    normalized vector.
     """
     if cutoff < 2:
         raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    if tail_tol <= 0:
-        raise DomainError(f"tail_tol must be positive, got {tail_tol}")
     alpha = _amplitude(alpha)
-
-    def build(n_kept: int) -> CoherentStateResult:
-        f.validate_positive(n_kept)
-        if alpha == 0:
-            return CoherentStateResult(FockVector(_vacuum(n_kept)), Method.ANNIHILATION_EIGENSTATE,
-                                       alpha, 1.0, 0.0, f.params)
-        n = np.arange(1, n_kept, dtype=float)
-        steps = math.log(abs(alpha)) - 0.5 * np.log(n * f.fsq(n))
-        logmag = np.concatenate(([0.0], np.cumsum(steps)))
-        coeffs, log_nf = _coefficients_from_log(logmag, cmath.phase(alpha))
-        return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
-                                   math.exp(log_nf), float(abs(coeffs[-1]) ** 2), f.params)
-
-    return grow_cutoff(build, cutoff, tail_tol, max_cutoff)
+    f.validate_positive(cutoff)
+    if alpha == 0:
+        return CoherentStateResult(FockVector(_vacuum(cutoff)), Method.ANNIHILATION_EIGENSTATE,
+                                   alpha, 1.0, 0.0, f.params)
+    n = np.arange(1, cutoff, dtype=float)
+    steps = math.log(abs(alpha)) - 0.5 * np.log(n * f.fsq(n))
+    logmag = np.concatenate(([0.0], np.cumsum(steps)))
+    coeffs, log_nf = _coefficients_from_log(logmag, cmath.phase(alpha))
+    return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
+                               math.exp(log_nf), float(abs(coeffs[-1]) ** 2), f.params)
 
 
 def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> np.ndarray:
@@ -313,22 +307,15 @@ def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cu
 
 
 def _renormalized_image(image: np.ndarray, method: Method, parameter: complex,
-                        f: DeformationFunction, tail_tol: float) -> CoherentStateResult:
+                        f: DeformationFunction) -> CoherentStateResult:
     """Renormalized result of a displacement route; the raw norm (exactly 1
-    untruncated) is kept, and the last coefficient's weight must not exceed ``tail_tol``."""
+    untruncated) is kept, and the tail mass is the last coefficient's weight."""
     norm = float(np.linalg.norm(image))
     tail = float(abs(image[-1]) ** 2) / norm**2
-    if tail > tail_tol:
-        raise TruncationError(
-            f"{method.value} image has tail mass {tail:.3e} above tolerance "
-            f"{tail_tol:.1e} at cutoff {image.size}; increase the cutoff"
-        )
     return CoherentStateResult(FockVector(image / norm), method, parameter, norm, tail, f.params)
 
 
-def displacement_state_direct(
-    f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-12
-) -> CoherentStateResult:
+def displacement_state_direct(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Vacuum image of exp(alpha A^dag - alpha* A) by dense matrix exponential.
 
     The ladder amplitudes are real, so with alpha = |alpha| e^{i phi} and
@@ -343,12 +330,10 @@ def displacement_state_direct(
     gen = OperatorMatrix(abs(alpha) * (np.diag(amp, -1) - np.diag(amp, 1)))
     phases = np.exp(1j * cmath.phase(alpha) * np.arange(cutoff))
     image = phases * matrix_exponential(gen).entries[:, 0]
-    return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f, tail_tol)
+    return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f)
 
 
-def displacement_state_factored(
-    f: DeformationFunction, alpha: complex, cutoff: int, tail_tol: float = 1e-12
-) -> CoherentStateResult:
+def displacement_state_factored(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Vacuum image of the ordered factors of the disentangled displacement.
 
     On the truncated basis exp(alpha A^dag - alpha* A) equals
@@ -367,7 +352,7 @@ def displacement_state_factored(
     image = exp_ladder_apply(amp, -np.conj(zeta) * scale, _vacuum(cutoff), False)
     image = (1.0 - abs(zeta) ** 2) ** (f.bargmann_index + n) * image
     image = exp_ladder_apply(amp, zeta * scale, image, True)
-    return _renormalized_image(image, Method.DISPLACEMENT_FACTORED, zeta, f, tail_tol)
+    return _renormalized_image(image, Method.DISPLACEMENT_FACTORED, zeta, f)
 
 
 def _unit_state(c, caller: str) -> np.ndarray:

@@ -140,8 +140,7 @@ def test_criterion_3_coefficient_identity():
     worst = 0.0
     for lam, alpha in _random_draws():
         f = tpt_deformation(ModelParams.tpt(lam))
-        by_deformed = annihilation_eigenstate(f, alpha, cutoff, tail_tol=1.0,
-                                              max_cutoff=cutoff).state.coeffs
+        by_deformed = annihilation_eigenstate(f, alpha, cutoff).state.coeffs
         by_ladder = tpt_ladder_coefficients(lam, alpha, cutoff)
         by_gamma = closed_form_bg_coefficients(f, alpha, cutoff).state.coeffs
         worst = max(worst, float(np.max(np.abs(by_deformed - by_ladder))))
@@ -273,7 +272,7 @@ def test_criterion_9_eigenstate_property():
     worst = 0.0
     for lam, alpha in _random_draws():
         f = tpt_deformation(ModelParams.tpt(lam))
-        state = annihilation_eigenstate(f, alpha, cutoff, tail_tol=1.0, max_cutoff=cutoff).state
+        state = annihilation_eigenstate(f, alpha, cutoff).state
         lowering, _ = ladder_operators(f, cutoff)
         image = lowering @ state.coeffs
         worst = max(worst, float(np.max(np.abs(image[:-1] - alpha * state.coeffs[:-1]))))

@@ -89,29 +89,9 @@ class TestAnnihilationEigenstate:
         # normalization constant rescales the raw family (c_0 = 1) to unit norm
         assert res.state.coeffs[0].real == pytest.approx(res.normalization_constant, rel=1e-12)
 
-    def test_auto_doubling_reports_final_cutoff(self):
-        f = tpt_deformation(ModelParams.tpt(2.0))
-        res = annihilation_eigenstate(f, 2.0, 4, tail_tol=1e-12)
-        assert res.state.cutoff > 4
-        assert res.tail_mass <= 1e-12
-
-    def test_truncation_error_at_cap(self):
-        f = tpt_deformation(ModelParams.tpt(2.0))
-        with pytest.raises(TruncationError):
-            annihilation_eigenstate(f, 3.0, 8, tail_tol=1e-30, max_cutoff=16)
-        # a non-finite amplitude is a domain error, not a cutoff shortfall
+    def test_non_finite_amplitude_is_domain_error(self):
         with pytest.raises(DomainError):
-            annihilation_eigenstate(f, complex(math.nan, 0.0), 8, max_cutoff=16)
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv(MAX_CUTOFF_ENV, "8")
-        assert max_auto_cutoff() == 8
-        f = tpt_deformation(ModelParams.tpt(2.0))
-        with pytest.raises(TruncationError):
-            annihilation_eigenstate(f, 4.0, 8, tail_tol=1e-30)
-        monkeypatch.setenv(MAX_CUTOFF_ENV, "junk")
-        with pytest.raises(DomainError):
-            max_auto_cutoff()
+            annihilation_eigenstate(TPT2, complex(math.nan, 0.0), 8)
 
     def test_eigenstate_property_interior(self):
         f = tpt_deformation(ModelParams.tpt(2.0))
@@ -135,6 +115,27 @@ class TestGrowCutoff:
         assert res.state.cutoff == tried[-1] and res.tail_mass <= 1e-12
         assert displacement_state_closed_form(TPT2, 0.9, tried[-2]).tail_mass > 1e-12
 
+    def test_recurrence_grows_to_the_reported_cutoff(self):
+        res = grow_cutoff(lambda n: annihilation_eigenstate(TPT2, 2.0, n), 4, 1e-12)
+        assert res.state.cutoff > 4 and res.tail_mass <= 1e-12
+        assert annihilation_eigenstate(TPT2, 2.0, res.state.cutoff // 2).tail_mass > 1e-12
+
+    def test_pinned_cutoff_raises_without_the_env_hint(self):
+        with pytest.raises(TruncationError) as info:
+            grow_cutoff(lambda n: displacement_state_direct(TPT2, 3.0, n), 8, 1e-12, max_cutoff=8)
+        message = str(info.value)
+        assert "displacement-direct" in message and "at cutoff 8" in message
+        assert MAX_CUTOFF_ENV not in message
+
+    def test_env_cap(self, monkeypatch):
+        monkeypatch.setenv(MAX_CUTOFF_ENV, "8")
+        assert max_auto_cutoff() == 8
+        with pytest.raises(TruncationError, match=f"cap 8 \\(raise {MAX_CUTOFF_ENV}"):
+            grow_cutoff(lambda n: annihilation_eigenstate(TPT2, 4.0, n), 8, 1e-12)
+        monkeypatch.setenv(MAX_CUTOFF_ENV, "junk")
+        with pytest.raises(DomainError):
+            max_auto_cutoff()
+
     def test_cap(self, monkeypatch):
         with pytest.raises(TruncationError, match="cap 32"):
             grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.9, n), 16, 1e-12, 32)
@@ -142,6 +143,20 @@ class TestGrowCutoff:
         monkeypatch.setenv(MAX_CUTOFF_ENV, "junk")
         with pytest.raises(DomainError):
             grow_cutoff(lambda n: displacement_state_closed_form(TPT2, 0.0, n), 16, 1e-12)
+
+
+def _closed_form_displacement(f, alpha, cutoff):
+    return displacement_state_closed_form(f, zeta_from_alpha(alpha, f), cutoff)
+
+
+@pytest.mark.parametrize("route", [annihilation_eigenstate, closed_form_bg_coefficients,
+                                   _closed_form_displacement, displacement_state_direct,
+                                   displacement_state_factored], ids=lambda r: r.__name__)
+def test_route_reports_its_tail_at_the_given_cutoff(route):
+    # every route builds at the cutoff it is given; only grow_cutoff judges the tail
+    res = route(TPT2, 3.0, 8)
+    assert res.state.cutoff == 8
+    assert res.tail_mass > 1e-12
 
 
 class TestClosedFormCoefficients:
@@ -167,7 +182,7 @@ class TestClosedFormCoefficients:
     def test_result_metadata(self, p):
         alpha, cutoff = 1.3 * np.exp(0.4j), 32
         res = closed_form_bg_coefficients(deformation_for(p), alpha, cutoff)
-        rec = annihilation_eigenstate(deformation_for(p), alpha, cutoff, tail_tol=1.0, max_cutoff=cutoff)
+        rec = annihilation_eigenstate(deformation_for(p), alpha, cutoff)
         assert res.method is Method.ANNIHILATION_EIGENSTATE
         assert res.model == p
         assert res.normalization_constant == pytest.approx(rec.normalization_constant, rel=1e-12)
@@ -178,7 +193,7 @@ class TestClosedFormCoefficients:
     def test_matches_recurrence_tpt(self, lam, amag):
         f = tpt_deformation(ModelParams.tpt(lam))
         alpha = amag * np.exp(0.4j)
-        rec = annihilation_eigenstate(f, alpha, 96, tail_tol=1.0, max_cutoff=96)
+        rec = annihilation_eigenstate(f, alpha, 96)
         closed = closed_form_bg_coefficients(f, alpha, 96)
         assert np.max(np.abs(rec.state.coeffs - closed.state.coeffs)) < 1e-12
 
@@ -187,7 +202,7 @@ class TestClosedFormCoefficients:
     def test_matches_recurrence_pseudoharmonic(self, s, amag):
         f = pseudoharmonic_deformation(s)
         alpha = amag * np.exp(-1.1j)
-        rec = annihilation_eigenstate(f, alpha, 96, tail_tol=1.0, max_cutoff=96)
+        rec = annihilation_eigenstate(f, alpha, 96)
         closed = closed_form_bg_coefficients(f, alpha, 96)
         assert np.max(np.abs(rec.state.coeffs - closed.state.coeffs)) < 1e-12
 
@@ -219,8 +234,7 @@ class TestClosedFormCoefficients:
         lam, alpha = 3.3, 1.7 * np.exp(0.9j)
         p = ModelParams.tpt(lam)
         lad = tpt_ladder_coefficients(lam, alpha, 64)
-        deformed = annihilation_eigenstate(tpt_deformation(p), alpha, 64,
-                                           tail_tol=1.0, max_cutoff=64)
+        deformed = annihilation_eigenstate(tpt_deformation(p), alpha, 64)
         assert np.max(np.abs(lad - deformed.state.coeffs)) < 1e-13
 
 
@@ -302,10 +316,6 @@ class TestDisplacementOperatorRoutes:
         res = displacement_state_direct(tpt_deformation(ModelParams.tpt(2.0)), 0.0, 16)
         assert np.allclose(res.state.coeffs, basis(0, 16), atol=1e-15)
 
-    def test_direct_truncation_error(self):
-        with pytest.raises(TruncationError):
-            displacement_state_direct(tpt_deformation(ModelParams.tpt(2.0)), 3.0, 8)
-
     def test_factored_middle_diagonal(self):
         p = ModelParams.tpt(2.0)
         f = tpt_deformation(p)
@@ -379,7 +389,7 @@ class TestDirectRouteGauge:
                              ids=["zero", "q1", "q2", "q3", "q4"])
     def test_matches_scipy_complex_generator(self, p, cutoff, alpha):
         f = deformation_for(p)
-        res = displacement_state_direct(f, alpha, cutoff, tail_tol=1.0)
+        res = displacement_state_direct(f, alpha, cutoff)
         assert np.max(np.abs(res.state.coeffs - scipy_vacuum_image(f, alpha, cutoff))) <= 1e-13
 
     @pytest.mark.parametrize("p, alpha", [(GAUGE_MODELS[0], QUADRANT_AMPLITUDES[1]),
@@ -490,7 +500,7 @@ class TestStructuralIdentity:
     def test_eigenstate_families_coincide(self, lam, amag, phase):
         alpha = amag * np.exp(1j * phase)
         f = tpt_deformation(ModelParams.tpt(lam))
-        a = annihilation_eigenstate(f, alpha, 64, tail_tol=1.0, max_cutoff=64)
+        a = annihilation_eigenstate(f, alpha, 64)
         b = tpt_ladder_coefficients(lam, alpha, 64)
         c = closed_form_bg_coefficients(f, alpha, 64)
         assert np.max(np.abs(a.state.coeffs - b)) < 1e-12
