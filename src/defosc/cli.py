@@ -270,12 +270,11 @@ def _rel_dev(computed: np.ndarray, target: np.ndarray) -> float:
     return float(np.max(np.abs(computed - target) / np.maximum(1.0, np.abs(target)), initial=0.0))
 
 
-def _commutator_suite(p: models.ModelParams, cutoff: int) -> list[tuple[str, float, list[int]]]:
+def _commutator_suite(f: models.DeformationFunction, cutoff: int) -> list[tuple[str, float, list[int]]]:
     # For f^2(n) = slope*n + intercept: [A, A^dag] = C with
     # C = diag(2*slope*n + slope + intercept), [A, N] = A and [A^dag, N] = -A^dag.
     # Each side has one nonzero diagonal, built from amp[n] = <n|A|n+1>; the
     # entries touching index N-1 are excluded, leaving amp[n] for n < N-2.
-    f = models.deformation_for(p)
     amp = fock.ladder_amplitudes(f, cutoff)
     sq = amp * amp
     n = np.arange(cutoff - 1, dtype=float)
@@ -292,10 +291,9 @@ def _commutator_suite(p: models.ModelParams, cutoff: int) -> list[tuple[str, flo
 
 
 def _task_commutators(cfg: RunConfig):
-    p = cfg.model_params()
     cutoff = cfg.settings["cutoff"]
     tol = cfg.settings["check_tol"]
-    suite = _commutator_suite(p, cutoff)
+    suite = _commutator_suite(cfg.deformation(), cutoff)
     checks = [
         _check(cid, {"model": cfg.settings["model"], "cutoff": cutoff}, dev, tol, excluded)
         for cid, dev, excluded in suite

@@ -18,7 +18,7 @@ from defosc.cli import (
     main,
 )
 from defosc.errors import DomainError
-from defosc.models import ModelParams
+from defosc.models import ModelParams, deformation_for
 
 
 def read(path):
@@ -153,13 +153,13 @@ class TestChecksAndStatuses:
         assert all(c["excluded_indices"] == [127] for c in report["checks"])
 
     def test_commutator_suite_near_lower_bound(self):
-        suite = _commutator_suite(ModelParams.tpt(0.6), 512)
+        suite = _commutator_suite(deformation_for(ModelParams.tpt(0.6)), 512)
         assert len(suite) == 3
         assert all(dev <= 1e-12 and excluded == [511] for _, dev, excluded in suite)
 
     def test_commutator_suite_at_smallest_cutoff(self):
         # at cutoff 2 every off-diagonal entry touches the excluded index
-        suite = _commutator_suite(ModelParams.tpt(2.0), 2)
+        suite = _commutator_suite(deformation_for(ModelParams.tpt(2.0)), 2)
         assert [dev for _, dev, _ in suite] == [0.0, 0.0, 0.0]
         assert all(excluded == [1] for _, _, excluded in suite)
 
