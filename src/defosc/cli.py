@@ -150,6 +150,13 @@ class RunConfig:
             raise ConfigError(f"unknown model {s['model']!r}")
         if s["method"] not in METHODS:
             raise ConfigError(f"unknown method {s['method']!r}; choose one of {', '.join(METHODS)}")
+        # the harmonic reference has no su(1,1) lowest weight and no coordinate family
+        if s["model"] == "harmonic":
+            if self.task in ("compare", "displacement-check", "wavefunction"):
+                raise ConfigError(f"model \"harmonic\" does not support the {self.task!r} task")
+            if self.task == "coherent" and s["method"] not in ("annihilation", "displacement-direct"):
+                raise ConfigError("model \"harmonic\" supports the coherent task only with method "
+                                  f"\"annihilation\" or \"displacement-direct\", not {s['method']!r}")
         if not isinstance(s["cutoff"], int) or s["cutoff"] < 2:
             raise ConfigError(f"cutoff must be an integer >= 2, got {s['cutoff']!r}")
         for key in ("tail_tol", "check_tol"):

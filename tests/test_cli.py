@@ -9,10 +9,10 @@ from defosc import coherent, fock
 from defosc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
-    EXIT_DOMAIN,
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_TRUNCATION,
+    METHODS,
     _commutator_suite,
     emit_csv,
     main,
@@ -195,22 +195,26 @@ class TestChecksAndStatuses:
             assert code == EXIT_TRUNCATION
             assert "truncation error" in capsys.readouterr().err
 
-    def test_domain_exit_status(self, tmp_path, capsys, monkeypatch):
-        # these tasks are undefined for the harmonic reference; the two that
-        # need the su(1,1) structure reject it before any dense work
-        def no_dense_work(*args):
-            raise AssertionError("dense work before the su(1,1) check")
-
-        for task in ("compare", "displacement-check", "wavefunction"):
-            with monkeypatch.context() as m:
-                if task != "wavefunction":
-                    m.setattr(coherent, "ladder_amplitudes", no_dense_work)
-                code = main([task, "--param", 'model="harmonic"', "--out", str(tmp_path / "r")])
-            assert code == EXIT_DOMAIN
+    def test_domain_exit_status(self, tmp_path, capsys):
+        # the harmonic reference has no su(1,1) structure and no coordinate
+        # family; these runs exited 5 from inside a route and are now
+        # rejected with the configuration, before any output is written
+        runs = [("compare", None), ("displacement-check", None)]
+        runs += [("coherent", m) for m in ("annihilation-closed-form", "displacement", "displacement-factored")]
+        runs += [("wavefunction", m) for m in METHODS]
+        for task, method in runs:
+            argv = [task, "--param", 'model="harmonic"', "--out", str(tmp_path / "r")]
+            if method is not None:
+                argv[1:1] = ["--param", f'method="{method}"']
+            assert main(argv) == EXIT_CONFIG
             err = capsys.readouterr().err
-            assert "error" in err
-            if task != "wavefunction":
-                assert "su(1,1)" in err
+            assert "harmonic" in err and (method if task == "coherent" else task) in err
+            assert not os.path.exists(tmp_path / "r")
+
+    @pytest.mark.parametrize("method", ["annihilation", "displacement-direct"])
+    def test_harmonic_coherent_routes_run(self, tmp_path, method):
+        assert main(["coherent", "--param", 'model="harmonic"', "--param", f'method="{method}"',
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
 
 
 class TestCoherentTask:
