@@ -21,10 +21,8 @@ which is exactly normalized over the infinite basis.
 Both routes are implemented with distinct arithmetic so that their
 agreement is a genuine cross-check rather than a tautology.
 
-Every route builds at the cutoff it is given and reports the tail mass
-it leaves there; none raises on a large tail.  :func:`grow_cutoff` alone
-holds a tail against a tolerance, doubling the cutoff up to a cap and
-raising :class:`TruncationError` past it.
+Every route builds at the cutoff it is given and reports its tail mass
+there; only :func:`grow_cutoff` holds a tail against a tolerance.
 
 Coefficient recurrences are accumulated in log magnitude to avoid
 overflow at large |alpha|; normalization constants are computed
@@ -109,11 +107,9 @@ def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_t
                 max_cutoff: Optional[int] = None) -> CoherentStateResult:
     """``build(n)`` at n = cutoff, 2 cutoff, 4 cutoff, ... until its tail mass is at most ``tail_tol``.
 
-    The only place a tail is held against a tolerance: every route builds at
-    the cutoff it is given and reports its tail.  A doubling past
-    ``max_cutoff`` (default :func:`max_auto_cutoff`, read before the first
-    build) raises :class:`TruncationError`; ``max_cutoff=cutoff`` pins the
-    cutoff.
+    A doubling past ``max_cutoff`` (default :func:`max_auto_cutoff`, read
+    before the first build; ``max_cutoff=cutoff`` pins the cutoff) raises
+    :class:`TruncationError`.
     """
     limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
     n = cutoff

@@ -211,11 +211,6 @@ class TestChecksAndStatuses:
             assert "harmonic" in err and (method if task == "coherent" else task) in err
             assert not os.path.exists(tmp_path / "r")
 
-    @pytest.mark.parametrize("method", ["annihilation", "displacement-direct"])
-    def test_harmonic_coherent_routes_run(self, tmp_path, method):
-        assert main(["coherent", "--param", 'model="harmonic"', "--param", f'method="{method}"',
-                     "--out", str(tmp_path / "r")]) == EXIT_OK
-
 
 class TestCoherentTask:
     def test_default_run(self, tmp_path):
