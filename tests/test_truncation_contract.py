@@ -25,8 +25,6 @@ class _TruncationRaises(ast.NodeVisitor):
         self.generic_visit(node)
         self.scope.pop()
 
-    visit_AsyncFunctionDef = visit_FunctionDef
-
     def visit_Raise(self, node):
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         if getattr(exc, "id", getattr(exc, "attr", None)) == "TruncationError":
