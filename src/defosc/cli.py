@@ -70,6 +70,10 @@ _DEFAULT_CHECK_TOL = {
     "harmonic-limit": 1e-2,
 }
 
+#: Largest accepted ``grid_nodes``: the wavefunction task holds a
+#: (cutoff, grid_nodes) level matrix, 256 MiB at the default DEFOSC_MAX_CUTOFF.
+MAX_GRID_NODES = 8192
+
 _CONFIG_DEFAULTS: dict[str, Any] = {
     "model": "tpt",
     "lambda": 2.0,
@@ -159,11 +163,19 @@ class RunConfig:
                                   f"\"annihilation\" or \"displacement-direct\", not {s['method']!r}")
         if not isinstance(s["cutoff"], int) or s["cutoff"] < 2:
             raise ConfigError(f"cutoff must be an integer >= 2, got {s['cutoff']!r}")
+        try:
+            max_cutoff = cs.max_auto_cutoff()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        if s["cutoff"] > max_cutoff:
+            raise ConfigError(f"cutoff must be at most {cs.MAX_CUTOFF_ENV} = {max_cutoff}, "
+                              f"got {s['cutoff']!r}")
         for key in ("tail_tol", "check_tol"):
             if not _is_finite_real(s[key]) or not 0 < s[key]:
                 raise ConfigError(f"{key} must be a finite positive number, got {s[key]!r}")
-        if not isinstance(s["grid_nodes"], int) or s["grid_nodes"] < 2:
-            raise ConfigError(f"grid_nodes must be an integer >= 2, got {s['grid_nodes']!r}")
+        if not isinstance(s["grid_nodes"], int) or not 2 <= s["grid_nodes"] <= MAX_GRID_NODES:
+            raise ConfigError(f"grid_nodes must be an integer from 2 to {MAX_GRID_NODES}, "
+                              f"got {s['grid_nodes']!r}")
         if not isinstance(s["lambdas"], list) or not s["lambdas"]:
             raise ConfigError("lambdas must be a nonempty list")
         if not all(_is_finite_real(x) and 0.5 < x for x in s["lambdas"]):
@@ -321,19 +333,21 @@ _ROUTES = {
 }
 
 
-def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
-    """The state of ``method`` for the state tasks, from one :func:`grow_cutoff` call.
+def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str,
+                 pinned: bool = False) -> cs.CoherentStateResult:
+    """The state of ``method`` from one :func:`grow_cutoff` call.
 
-    The recurrence and the closed forms double their cutoff until the tail
-    meets ``tail_tol``, up to DEFOSC_MAX_CUTOFF.  The direct and factored
-    routes do dense N^3 work, so they are pinned to the configured cutoff
-    and raise TruncationError there."""
+    Every route doubles its cutoff until the tail meets ``tail_tol``, up to
+    DEFOSC_MAX_CUTOFF, except the direct route: its dense N^3 matrix
+    exponential pins it to the configured cutoff, where it raises
+    TruncationError.  ``pinned`` pins any route, for a task that compares
+    states at one cutoff."""
     cutoff = cfg.settings["cutoff"]
     route = getattr(cs, _ROUTES[method])
     parameter = cfg.alpha
     if method == "displacement":
         parameter = cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
-    pin = cutoff if method in ("displacement-direct", "displacement-factored") else None
+    pin = cutoff if pinned or method == "displacement-direct" else None
     return cs.grow_cutoff(lambda n: route(f, parameter, n), cutoff, cfg.settings["tail_tol"], pin)
 
 
@@ -400,7 +414,7 @@ def _task_displacement_check(cfg: RunConfig):
     alpha = cfg.alpha
     zeta = cs.zeta_from_alpha(alpha, f)
     direct = _build_state(cfg, f, "displacement-direct").state.coeffs
-    factored = _build_state(cfg, f, "displacement-factored").state.coeffs
+    factored = _build_state(cfg, f, "displacement-factored", pinned=True).state.coeffs
     closed = cs.displacement_state_closed_form(f, zeta, cutoff).state.coeffs
     dev_fact = float(np.max(np.abs(direct - factored)))
     dev_closed = float(np.max(np.abs(direct - closed)))

@@ -12,6 +12,7 @@ from defosc.cli import (
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_TRUNCATION,
+    MAX_GRID_NODES,
     METHODS,
     _commutator_suite,
     emit_csv,
@@ -112,6 +113,24 @@ class TestConfigErrors:
     def test_bad_cutoff(self, tmp_path):
         assert main(["spectrum", "--param", "cutoff=1", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
+    def test_sizes_above_their_caps(self, tmp_path, capsys, monkeypatch):
+        # 2^62 ended in numpy's "array is too big" ValueError or a MemoryError (exit 1)
+        huge = 2 ** 62
+        for task in ("spectrum", "commutators", "coherent"):
+            assert main([task, "--param", f"cutoff={huge}", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+            assert "DEFOSC_MAX_CUTOFF" in capsys.readouterr().err
+        for nodes in (huge, MAX_GRID_NODES + 1):
+            assert main(["wavefunction", "--param", f"grid_nodes={nodes}",
+                         "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+            assert f"from 2 to {MAX_GRID_NODES}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+        # the cutoff cap follows the environment, and a malformed cap is a config error
+        monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "64")
+        assert main(["spectrum", "--param", "cutoff=65", "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        assert main(["spectrum", "--param", "cutoff=64", "--out", str(tmp_path / "r")]) == EXIT_OK
+        monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "junk")
+        assert main(["spectrum", "--out", str(tmp_path / "s")]) == EXIT_CONFIG
+
     @pytest.mark.parametrize("task, method", [
         ("spectrum", "displacement"),
         ("compare", "annihilation"),
@@ -187,13 +206,18 @@ class TestChecksAndStatuses:
         assert code == EXIT_TRUNCATION
         assert "truncation error" in capsys.readouterr().err
         # a tail_tol below 1e-12 is applied as given; the tails at cutoff 64 are
-        # 6.2e-14 (factored) and 1.5e-13 (direct)
-        for method in ("displacement-direct", "displacement-factored"):
-            code = main(["coherent", "--param", f'method="{method}"', "--param", "cutoff=64",
-                         "--param", "alpha_re=1.9", "--param", "tail_tol=1e-14",
-                         "--out", str(tmp_path / method)])
-            assert code == EXIT_TRUNCATION
-            assert "truncation error" in capsys.readouterr().err
+        # 6.2e-14 (factored) and 1.5e-13 (direct).  The direct route is pinned
+        # to its cutoff; the factored route (two vector series) grows past it
+        argv = ["--param", "cutoff=64", "--param", "alpha_re=1.9", "--param", "tail_tol=1e-14"]
+        code = main(["coherent", "--param", 'method="displacement-direct"', *argv,
+                     "--out", str(tmp_path / "direct")])
+        assert code == EXIT_TRUNCATION
+        assert "truncation error" in capsys.readouterr().err
+        out = str(tmp_path / "factored")
+        assert main(["coherent", "--param", 'method="displacement-factored"', *argv,
+                     "--out", out]) == EXIT_OK
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["cutoff_used"] == 128 and report["tail_mass"] <= 1e-14
 
     def test_domain_exit_status(self, tmp_path, capsys):
         # the harmonic reference has no su(1,1) structure and no coordinate

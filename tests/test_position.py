@@ -13,6 +13,7 @@ from defosc import (
     QuadratureError,
     annihilation_eigenstate,
     coherent_wavefunction,
+    deformation_for,
     gauss_levels,
     ladder_action_fd,
     orthonormality_gram,
@@ -23,6 +24,7 @@ from defosc import (
     tpt_ground,
 )
 from defosc.cli import main
+from defosc.position import _legendre_nodes
 
 
 class TestTptGround:
@@ -329,6 +331,15 @@ class TestCoherentWavefunction:
         on_rule = state.coeffs @ gauss_levels(p, state.cutoff - 1, state.cutoff)
         assert np.vdot(on_rule, on_rule).real == pytest.approx(1.0, abs=1e-6)
 
+    def test_complex_state_is_the_complex_sum(self):
+        p = ModelParams.pseudoharmonic(1.5)
+        c = annihilation_eigenstate(deformation_for(p), 1.0 + 0.7j, 32).state.coeffs
+        rho = sample_points(p, 128, 31)
+        psi = pseudoharmonic_radials(31, rho, p)
+        values = coherent_wavefunction(c, rho, p)
+        assert np.iscomplexobj(values)
+        assert np.max(np.abs(values - np.einsum("n,ni->i", c, psi))) <= 1e-14
+
     def test_requires_normalized_input(self):
         p = ModelParams.tpt(2.0, 1.0)
         with pytest.raises(DomainError):
@@ -343,8 +354,17 @@ class TestSamplePoints:
     @pytest.mark.parametrize("s,n_max,rho_max", [(1.0, 4, 60.0), (1.0, 0, 40.0), (10.0, 3, 124.0)])
     def test_radial_points_cover_twice_the_turning_point(self, s, n_max, rho_max):
         rho = sample_points(ModelParams.pseudoharmonic(s), 64, n_max)
-        t, _ = np.polynomial.legendre.leggauss(64)
-        assert np.array_equal(rho, (t + 1.0) * (rho_max / 2.0))
+        assert np.array_equal(rho, (_legendre_nodes(64) + 1.0) * (rho_max / 2.0))
+
+    def test_legendre_nodes_match_leggauss(self):
+        # Newton's nodes agree with NumPy's eigensolver nodes to 1 ulp of 1
+        for order in [*range(2, 401), 1024, 2048]:
+            t = _legendre_nodes(order)
+            assert t.shape == (order,)
+            reference, _ = np.polynomial.legendre.leggauss(order)
+            assert np.max(np.abs(t - reference)) <= 2.2e-16, order
+            assert np.all(np.diff(t) > 0) and np.array_equal(t, -t[::-1]), order
+        assert _legendre_nodes(3)[1] == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
