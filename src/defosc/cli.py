@@ -218,7 +218,20 @@ class RunConfig:
         return complex(float(zr or 0.0), float(zi or 0.0))
 
 
+# Formatters of the exact cell types the tasks produce; other types go
+# through the isinstance chain of _fmt.
+_FORMATTERS = {
+    bool: lambda cell: "true" if cell else "false",
+    int: int.__repr__,
+    float: float.__repr__,
+    str: str,
+}
+
+
 def _fmt(cell: Any) -> str:
+    fmt = _FORMATTERS.get(type(cell))
+    if fmt is not None:
+        return fmt(cell)
     if isinstance(cell, bool):
         return "true" if cell else "false"
     if isinstance(cell, (int, np.integer)):
@@ -235,7 +248,7 @@ def emit_csv(header: list[str], rows: list[list], path: str) -> None:
         if len(row) != len(header):
             raise DomainError(f"row width {len(row)} does not match header width {len(header)}")
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -279,7 +292,7 @@ def _task_spectrum(cfg: RunConfig):
     rel = float(np.max(np.abs(diag - energies) / np.maximum(np.abs(energies), 1e-300)))
     checks = [_check(check_id, {"model": cfg.settings["model"], "levels": n_levels},
                      rel, cfg.settings["check_tol"])]
-    rows = [[int(k), float(energies[k])] for k in range(n_levels)]
+    rows = [list(row) for row in zip(range(n_levels), energies.tolist())]
     return ["n", "energy"], rows, checks, {}
 
 
@@ -333,21 +346,19 @@ _ROUTES = {
 }
 
 
-def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str,
-                 pinned: bool = False) -> cs.CoherentStateResult:
+def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
     """The state of ``method`` from one :func:`grow_cutoff` call.
 
     Every route doubles its cutoff until the tail meets ``tail_tol``, up to
     DEFOSC_MAX_CUTOFF, except the direct route: its dense N^3 matrix
     exponential pins it to the configured cutoff, where it raises
-    TruncationError.  ``pinned`` pins any route, for a task that compares
-    states at one cutoff."""
+    TruncationError."""
     cutoff = cfg.settings["cutoff"]
     route = getattr(cs, _ROUTES[method])
     parameter = cfg.alpha
     if method == "displacement":
         parameter = cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
-    pin = cutoff if pinned or method == "displacement-direct" else None
+    pin = cutoff if method == "displacement-direct" else None
     return cs.grow_cutoff(lambda n: route(f, parameter, n), cutoff, cfg.settings["tail_tol"], pin)
 
 
@@ -355,7 +366,8 @@ def _task_coherent(cfg: RunConfig):
     method = cfg.settings["method"]
     result = _build_state(cfg, cfg.deformation(), method)
     c = result.state.coeffs
-    rows = [[int(k), float(c[k].real), float(c[k].imag), float(abs(c[k]) ** 2)] for k in range(c.size)]
+    # Python's complex abs, not np.abs: it gives the same abs2 as a numpy scalar
+    rows = [[k, z.real, z.imag, abs(z) ** 2] for k, z in enumerate(c.tolist())]
     stats = cs.photon_statistics(c)
     checks = [
         _check("state-normalized", {"method": cfg.settings["method"]},
@@ -413,23 +425,29 @@ def _task_displacement_check(cfg: RunConfig):
     tol = cfg.settings["check_tol"]
     alpha = cfg.alpha
     zeta = cs.zeta_from_alpha(alpha, f)
-    direct = _build_state(cfg, f, "displacement-direct").state.coeffs
-    factored = _build_state(cfg, f, "displacement-factored", pinned=True).state.coeffs
-    closed = cs.displacement_state_closed_form(f, zeta, cutoff).state.coeffs
+    # The direct route must meet tail_tol at the given cutoff.  The checks
+    # compare amplitudes at tol, so it then doubles on until its last weight
+    # is at most tol**2; the build at the given cutoff is not repeated.  A
+    # gap below one ulp of a unit amplitude cannot show, so a tol below eps
+    # asks no more than eps (tol**2 would underflow to 0 below 1e-154).
+    pinned = _build_state(cfg, f, "displacement-direct")
+    direct = cs.grow_cutoff(
+        lambda n: pinned if n == cutoff else cs.displacement_state_direct(f, alpha, n),
+        cutoff, max(tol, np.finfo(float).eps) ** 2).state.coeffs
+    used = direct.size
+    factored = cs.grow_cutoff(lambda n: cs.displacement_state_factored(f, alpha, n),
+                              used, cfg.settings["tail_tol"], used).state.coeffs
+    closed = cs.displacement_state_closed_form(f, zeta, used).state.coeffs
     dev_fact = float(np.max(np.abs(direct - factored)))
     dev_closed = float(np.max(np.abs(direct - closed)))
     checks = [
         _check("displacement-direct-vs-factored",
-               {"alpha_re": alpha.real, "alpha_im": alpha.imag, "cutoff": cutoff}, dev_fact, tol),
+               {"alpha_re": alpha.real, "alpha_im": alpha.imag, "cutoff": used}, dev_fact, tol),
         _check("displacement-direct-vs-closed-form",
-               {"zeta_re": zeta.real, "zeta_im": zeta.imag, "cutoff": cutoff}, dev_closed, tol),
+               {"zeta_re": zeta.real, "zeta_im": zeta.imag, "cutoff": used}, dev_closed, tol),
     ]
-    rows = [
-        [int(k), float(direct[k].real), float(direct[k].imag),
-         float(factored[k].real), float(factored[k].imag),
-         float(closed[k].real), float(closed[k].imag)]
-        for k in range(cutoff)
-    ]
+    columns = [direct.real, direct.imag, factored.real, factored.imag, closed.real, closed.imag]
+    rows = [list(row) for row in zip(range(used), *(col.tolist() for col in columns))]
     header = ["n", "direct_re", "direct_im", "factored_re", "factored_im", "closed_re", "closed_im"]
     return header, rows, checks, {}
 
@@ -450,7 +468,7 @@ def _task_wavefunction(cfg: RunConfig):
         _check("wavefunction-norm", {"grid_nodes": cfg.settings["grid_nodes"]},
                abs(norm - 1.0), cfg.settings["check_tol"]),
     ]
-    rows = [[float(nodes[i]), float(vals[i].real), float(vals[i].imag)] for i in range(nodes.size)]
+    rows = [list(row) for row in zip(nodes.tolist(), vals.real.tolist(), vals.imag.tolist())]
     extras = {"quadrature_norm": norm, "quadrature_error_estimate": err}
     return ["node", "psi_re", "psi_im"], rows, checks, extras
 
@@ -495,8 +513,7 @@ def run(cfg: RunConfig, out_dir: str) -> int:
     }
     report.update(extras)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['id']}: max_deviation={c['max_deviation']!r} tolerance={c['tolerance']!r}")

@@ -90,21 +90,26 @@ def ladder_amplitudes(f: DeformationFunction, cutoff: int) -> np.ndarray:
 def exp_ladder_apply(amp: np.ndarray, x: complex, coeffs: np.ndarray, raising: bool) -> np.ndarray:
     """exp(x L) coeffs for the raising (or lowering) operator L with amplitudes ``amp``.
 
-    L is nilpotent on the truncation, so its Taylor series is finite: at
-    most cutoff - 1 shifts, stopping as soon as a term vanishes.
+    L is nilpotent on the truncation, so its Taylor series is finite.  Each
+    nonzero level m of ``coeffs`` feeds one chain of levels, m+1, m+2, ...
+    when raising and m-1, ..., 0 when lowering, and its k-th term there is
+    the cumulative product of v[m] with the steps (x/j) amp at orders
+    j <= k: one ``np.cumprod`` per occupied level, so O(N) for the vacuum.
     """
     v = np.asarray(coeffs, dtype=complex)
     if v.shape != (amp.size + 1,):
         raise SizeMismatchError(f"vector of size {v.size} for {amp.size} ladder amplitudes")
-    dst, src = (np.s_[1:], np.s_[:-1]) if raising else (np.s_[:-1], np.s_[1:])
-    result, term = v.copy(), v
-    for k in range(1, v.size):
-        shifted = np.zeros_like(term)
-        shifted[dst] = (x / k) * (amp * term[src])
-        if not shifted.any():
-            break
-        result += shifted
-        term = shifted
+    result = v.copy()
+    for m in np.flatnonzero(v).tolist():
+        # the amplitudes met along the chain, and the levels they lead to
+        if raising:
+            steps, dst = amp[m:], np.s_[m + 1:]
+        elif m:
+            steps, dst = amp[m - 1::-1], np.s_[m - 1::-1]
+        else:
+            continue
+        orders = np.arange(1, steps.size + 1)
+        result[dst] += np.cumprod(np.concatenate(([v[m]], (x / orders) * steps)))[1:]
     return result
 
 

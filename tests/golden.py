@@ -89,6 +89,8 @@ _EDGE = (
      {"method": "annihilation", "alpha_re": 100.0}, {MAX_CUTOFF_ENV: "256"}),
     ("edge-tpt-coherent-cutoff2^62", "coherent", {"cutoff": 2 ** 62}, {}),
     ("edge-tpt-wavefunction-grid-nodes2^62", "wavefunction", {"grid_nodes": 2 ** 62}, {}),
+    ("edge-pseudoharmonic-displacement-check-direct-weight3e-14", "displacement-check",
+     {"model": "pseudoharmonic", "s": 1.441, "alpha_re": 1.149, "alpha_im": 0.556}, {}),
 )
 
 RUNS = _default_runs() + [

@@ -188,13 +188,17 @@ class TestChecksAndStatuses:
         assert main(["commutators", "--param", 'model="harmonic"', "--param", "check_tol=1e-14",
                      "--param", "cutoff=16", "--out", str(tmp_path / "r")]) == EXIT_OK
 
-    def test_impossible_tolerance_fails_run(self, tmp_path, capsys):
-        out = str(tmp_path / "r")
-        code = main(["displacement-check", "--param", "check_tol=1e-30", "--out", out])
-        assert code == EXIT_CHECK_FAILED
-        assert "FAIL" in capsys.readouterr().out
-        report = json.loads(read(os.path.join(out, "report.json")))
-        assert report["all_passed"] is False
+    def test_impossible_tolerance_fails_run(self, tmp_path, capsys, monkeypatch):
+        # the direct route's last weight at cutoff 128 is 2e-150: below
+        # eps**2, so no check_tol makes it grow, and 1e-200 squared is not 0
+        monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "128")
+        for tol in ("1e-30", "1e-200"):
+            out = str(tmp_path / tol)
+            code = main(["displacement-check", "--param", f"check_tol={tol}", "--out", out])
+            assert code == EXIT_CHECK_FAILED
+            assert "FAIL" in capsys.readouterr().out
+            report = json.loads(read(os.path.join(out, "report.json")))
+            assert report["all_passed"] is False
 
     def test_displacement_check_passes_at_default_tolerance(self, tmp_path):
         assert main(["displacement-check", "--out", str(tmp_path / "r")]) == EXIT_OK
@@ -327,6 +331,26 @@ class TestOtherTasks:
     def test_displacement_check_pseudoharmonic(self, tmp_path):
         assert main(["displacement-check", "--param", 'model="pseudoharmonic"',
                      "--out", str(tmp_path / "r")]) == EXIT_OK
+
+    def test_displacement_check_grows_the_direct_route(self, tmp_path, capsys, monkeypatch):
+        # the direct route's last weight at cutoff 128 is 2.7e-14: within
+        # tail_tol, but a truncation gap of 7e-8 in the amplitudes, so the
+        # run exited 1.  It doubles to a weight below check_tol**2 = 1e-18
+        argv = ["displacement-check", "--param", 'model="pseudoharmonic"', "--param", "s=1.441",
+                "--param", "alpha_re=1.149", "--param", "alpha_im=0.556"]
+        out = str(tmp_path / "r")
+        assert main(argv + ["--out", out]) == EXIT_OK
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert [c["parameters"]["cutoff"] for c in report["checks"]] == [256, 256]
+        assert all(c["max_deviation"] < 1e-12 for c in report["checks"])
+        assert len(read(os.path.join(out, "displacement-check.csv")).splitlines()) == 1 + 256
+        # the doubling stops at the cap, and a direct route short of tail_tol
+        # at the given cutoff is not grown
+        monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "128")
+        assert main(argv + ["--out", str(tmp_path / "capped")]) == EXIT_TRUNCATION
+        assert "cap 128" in capsys.readouterr().err
+        assert main(argv + ["--param", "cutoff=64", "--out", str(tmp_path / "short")]) == EXIT_TRUNCATION
+        assert "displacement-direct" in capsys.readouterr().err
 
     def test_wavefunction_explicit_zeta(self, tmp_path):
         assert main(["wavefunction", "--param", 'method="displacement"', "--param", "zeta_im=0.3",

@@ -14,6 +14,8 @@ from defosc import (
     SizeMismatchError,
     deformed_hamiltonian_antisymmetric,
     deformed_hamiltonian_symmetric,
+    displacement_state_closed_form,
+    displacement_state_factored,
     exp_ladder_apply,
     glauber_coefficients,
     harmonic_deformation,
@@ -23,6 +25,7 @@ from defosc import (
     pseudoharmonic_energy,
     tpt_deformation,
     tpt_energy,
+    zeta_from_alpha,
 )
 
 
@@ -293,6 +296,17 @@ class TestApply:
                 ref = scipy_expm(x * dense) @ v
                 got = exp_ladder_apply(amp, x, v, raising)
                 assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-14
+
+    def test_long_vacuum_series_near_the_unit_circle(self):
+        # |zeta| = 0.992: the raising series of the factored route runs over
+        # all 4096 levels, and its terms first grow, then fall to a last
+        # weight below 1e-27
+        f = pseudoharmonic_deformation(1.314)
+        alpha = 0.819 + 2.615j
+        fact = displacement_state_factored(f, alpha, 4096)
+        closed = displacement_state_closed_form(f, zeta_from_alpha(alpha, f), 4096)
+        assert fact.tail_mass < 1e-27
+        assert np.max(np.abs(fact.state.coeffs - closed.state.coeffs)) < 1e-13
 
 
 class TestFockVector:
