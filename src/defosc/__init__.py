@@ -53,14 +53,12 @@ from .coherent import (
     harmonic_limit_deviation,
     max_auto_cutoff,
     photon_statistics,
-    tpt_ladder_coefficients,
     zeta_from_alpha,
 )
 from .position import (
-    LadderFit,
     coherent_wavefunction,
     gauss_levels,
-    ladder_action_fd,
+    ladder_matrix,
     orthonormality_gram,
     pseudoharmonic_radials,
     sample_points,

@@ -12,7 +12,7 @@ floats are printed as shortest round-trip decimals and re-runs produce
 byte-identical files.
 
 Exit status: 0 all checks passed; 1 some check failed; 2 bad
-configuration; 3 truncation failure; 4 quadrature or fitting failure;
+configuration; 3 truncation failure; 4 quadrature failure;
 5 domain error.
 """
 
@@ -347,19 +347,31 @@ _ROUTES = {
 
 
 def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
-    """The state of ``method`` from one :func:`grow_cutoff` call.
+    """The state of ``method``, grown by :func:`grow_cutoff` up to DEFOSC_MAX_CUTOFF.
 
-    Every route doubles its cutoff until the tail meets ``tail_tol``, up to
-    DEFOSC_MAX_CUTOFF, except the direct route: its dense N^3 matrix
-    exponential pins it to the configured cutoff, where it raises
-    TruncationError."""
+    Every route doubles its cutoff until the tail meets ``tail_tol``, except
+    the direct route.  Its last weight is no tail bound, since the truncated
+    exponential reflects at the last level, so it must meet ``tail_tol`` at
+    the configured cutoff (else TruncationError).  As the checks compare
+    amplitudes at ``check_tol``, it then doubles on until its last weight is
+    at most ``check_tol**2``; the build at the given cutoff is not repeated.
+    A gap below one ulp of a unit amplitude cannot show, so a ``check_tol``
+    below eps asks no more than eps (its square would underflow to 0 below
+    1e-154)."""
     cutoff = cfg.settings["cutoff"]
     route = getattr(cs, _ROUTES[method])
     parameter = cfg.alpha
     if method == "displacement":
         parameter = cfg.zeta if cfg.zeta is not None else cs.zeta_from_alpha(cfg.alpha, f)
-    pin = cutoff if method == "displacement-direct" else None
-    return cs.grow_cutoff(lambda n: route(f, parameter, n), cutoff, cfg.settings["tail_tol"], pin)
+
+    def build(n: int) -> cs.CoherentStateResult:
+        return route(f, parameter, n)
+
+    if method != "displacement-direct":
+        return cs.grow_cutoff(build, cutoff, cfg.settings["tail_tol"])
+    pinned = cs.grow_cutoff(build, cutoff, cfg.settings["tail_tol"], cutoff)
+    last_weight = max(cfg.settings["check_tol"], np.finfo(float).eps) ** 2
+    return cs.grow_cutoff(lambda n: pinned if n == cutoff else build(n), cutoff, last_weight)
 
 
 def _task_coherent(cfg: RunConfig):
@@ -421,19 +433,10 @@ def _task_compare(cfg: RunConfig):
 
 def _task_displacement_check(cfg: RunConfig):
     f = cfg.deformation()
-    cutoff = cfg.settings["cutoff"]
     tol = cfg.settings["check_tol"]
     alpha = cfg.alpha
     zeta = cs.zeta_from_alpha(alpha, f)
-    # The direct route must meet tail_tol at the given cutoff.  The checks
-    # compare amplitudes at tol, so it then doubles on until its last weight
-    # is at most tol**2; the build at the given cutoff is not repeated.  A
-    # gap below one ulp of a unit amplitude cannot show, so a tol below eps
-    # asks no more than eps (tol**2 would underflow to 0 below 1e-154).
-    pinned = _build_state(cfg, f, "displacement-direct")
-    direct = cs.grow_cutoff(
-        lambda n: pinned if n == cutoff else cs.displacement_state_direct(f, alpha, n),
-        cutoff, max(tol, np.finfo(float).eps) ** 2).state.coeffs
+    direct = _build_state(cfg, f, "displacement-direct").state.coeffs
     used = direct.size
     factored = cs.grow_cutoff(lambda n: cs.displacement_state_factored(f, alpha, n),
                               used, cfg.settings["tail_tol"], used).state.coeffs

@@ -51,7 +51,6 @@ __all__ = [
     "CoherentStateResult",
     "PhotonStatistics",
     "annihilation_eigenstate",
-    "tpt_ladder_coefficients",
     "closed_form_bg_coefficients",
     "zeta_from_alpha",
     "displacement_state_closed_form",
@@ -172,28 +171,6 @@ def annihilation_eigenstate(f: DeformationFunction, alpha: complex, cutoff: int)
                                math.exp(log_nf), float(abs(coeffs[-1]) ** 2), f.params)
 
 
-def tpt_ladder_coefficients(lam: float, alpha: complex, cutoff: int) -> np.ndarray:
-    """Eigenstate of the TPT ladder operator b, built from its own amplitudes.
-
-    Uses the recurrence c_n sqrt(n (2 lam + n - 1)/(2 lam)) = alpha c_{n-1}
-    directly, i.e. the route through the eigenfunction-derived operators;
-    kept separate from :func:`annihilation_eigenstate` so the agreement of
-    the two constructions can be asserted rather than assumed.
-    """
-    if lam <= 0.5:
-        raise DomainError(f"need lam > 1/2, got {lam}")
-    if cutoff < 2:
-        raise DomainError(f"need cutoff >= 2, got {cutoff}")
-    alpha = _amplitude(alpha)
-    if alpha == 0:
-        return _vacuum(cutoff)
-    n = np.arange(1, cutoff, dtype=float)
-    amp = np.sqrt(n * (2.0 * lam + n - 1.0) / (2.0 * lam))
-    logmag = np.concatenate(([0.0], np.cumsum(math.log(abs(alpha)) - np.log(amp))))
-    coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
-    return coeffs
-
-
 def closed_form_bg_coefficients(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Annihilation-eigenstate coefficients from their gamma-function closed form.
 
@@ -305,8 +282,11 @@ def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cu
 def _renormalized_image(image: np.ndarray, method: Method, parameter: complex,
                         f: DeformationFunction) -> CoherentStateResult:
     """Renormalized result of a displacement route; the raw norm (exactly 1
-    untruncated) is kept, and the tail mass is the last coefficient's weight."""
+    untruncated) is kept, and the tail mass is the last coefficient's weight.
+    A raw norm of 0 or not finite raises DomainError."""
     norm = float(np.linalg.norm(image))
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"{method.value} image has norm {norm!r} at cutoff {image.size}")
     tail = float(abs(image[-1]) ** 2) / norm**2
     return CoherentStateResult(FockVector(image / norm), method, parameter, norm, tail, f.params)
 

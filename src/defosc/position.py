@@ -42,15 +42,16 @@ Tricomi's asymptotic nodes (Hale and Townsend, SIAM J. Sci. Comput. 35,
 2013): O(n^2) work in place of the O(n^3) dense eigensolve of NumPy's
 ``leggauss``, whose nodes it matches to 1 ulp.
 
-Differential ladder operators are verified by central finite differences:
-the operator image of psi_n is least-squares fitted against psi_{n +/- 1}
-and the fitted coefficient compared with the analytic ladder amplitude.
+The differential ladder operators map psi_n = psi_0 q_n to psi_0 times a
+polynomial of degree n+1 in q_n and q_n', so every matrix element
+<psi_m|M|psi_n> is exact on the same Gauss rule.  :func:`ladder_matrix`
+forms the whole lowering and raising matrices there, off-band entries
+included, with q_n' carried by differentiating the level recurrence.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_legendre, gammaln, roots_gegenbauer, roots_genlaguerre
@@ -65,8 +66,7 @@ __all__ = [
     "sample_points",
     "gauss_levels",
     "coherent_wavefunction",
-    "LadderFit",
-    "ladder_action_fd",
+    "ladder_matrix",
     "orthonormality_gram",
 ]
 
@@ -100,17 +100,36 @@ def tpt_ground(u, p: ModelParams):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _tpt_recurrence(n_max: int, u: np.ndarray, lam: float, seed) -> np.ndarray:
-    psi = np.zeros((n_max + 1, u.size))
-    psi[0] = seed
+def _three_term(n_max: int, x: np.ndarray, seed, steps, slopes: bool = False):
+    """Levels q_0..q_{n_max} of q_{n+1} = (r_n q_n - b_n q_{n-1}) / d_n from q_0 = seed.
+
+    ``steps`` yields (r_n(x), r_n', b_n, d_n) for n = 0 .. n_max-1, with r_n
+    affine in x, so q_n is ``seed`` times a polynomial P_n of degree n.
+    With ``slopes`` the pair (levels, slopes) is returned, slopes[n] =
+    seed P_n', from the same recurrence differentiated:
+    P'_{n+1} = (r_n' P_n + r_n P'_n - b_n P'_{n-1}) / d_n from P'_0 = 0.
+    """
+    out = np.zeros((n_max + 1, x.size))
+    out[0] = seed
+    d_out = np.zeros_like(out) if slopes else None
+    for n, (ramp, ramp_slope, back, divisor) in enumerate(steps):
+        lead = ramp * out[n]
+        if n >= 1:
+            lead = lead - back * out[n - 1]
+        out[n + 1] = lead / divisor
+        if slopes:
+            d_lead = ramp_slope * out[n] + ramp * d_out[n]
+            if n >= 1:
+                d_lead = d_lead - back * d_out[n - 1]
+            d_out[n + 1] = d_lead / divisor
+    return (out, d_out) if slopes else out
+
+
+def _tpt_steps(n_max: int, lam: float, u: np.ndarray):
     for n in range(n_max):
         up = math.sqrt((lam + n) * (n + 1) / ((lam + n + 1) * (2 * lam + n)))
-        lead = 2.0 * (lam + n) * u * psi[n]
-        if n >= 1:
-            down = math.sqrt((lam + n) * (2 * lam + n - 1) / ((lam + n - 1) * n))
-            lead = lead - n * down * psi[n - 1]
-        psi[n + 1] = lead / ((2.0 * lam + n) * up)
-    return psi
+        down = math.sqrt((lam + n) * (2 * lam + n - 1) / ((lam + n - 1) * n)) if n else 0.0
+        yield 2.0 * (lam + n) * u, 2.0 * (lam + n), n * down, (2.0 * lam + n) * up
 
 
 def tpt_eigenfunctions(n_max: int, u, p: ModelParams) -> np.ndarray:
@@ -121,7 +140,7 @@ def tpt_eigenfunctions(n_max: int, u, p: ModelParams) -> np.ndarray:
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     uu = np.atleast_1d(_check_u(u))
-    return _tpt_recurrence(n_max, uu, p.lam, tpt_ground(uu, p))
+    return _three_term(n_max, uu, tpt_ground(uu, p), _tpt_steps(n_max, p.lam, uu))
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +154,11 @@ def _check_rho(rho) -> np.ndarray:
     return rho
 
 
-def _radial_recurrence(n_max: int, s: float, rho: np.ndarray, seed) -> np.ndarray:
+def _radial_steps(n_max: int, s: float, rho: np.ndarray):
     two_s = 2.0 * s
-    out = np.zeros((n_max + 1, rho.size))
-    out[0] = seed
     for k in range(n_max):
-        lead = (2.0 * k + two_s + 1.0 - rho) * out[k]
-        if k >= 1:
-            lead = lead - math.sqrt(k * (k + two_s)) * out[k - 1]
-        out[k + 1] = lead / math.sqrt((k + 1.0) * (k + two_s + 1.0))
-    return out
+        yield (2.0 * k + two_s + 1.0 - rho, -1.0, math.sqrt(k * (k + two_s)),
+               math.sqrt((k + 1.0) * (k + two_s + 1.0)))
 
 
 def pseudoharmonic_radials(n_max: int, rho, p: ModelParams) -> np.ndarray:
@@ -162,7 +176,7 @@ def pseudoharmonic_radials(n_max: int, rho, p: ModelParams) -> np.ndarray:
     rr = np.atleast_1d(_check_rho(rho))
     s = p.s
     seed = np.exp(0.5 * (math.log(2.0) - gammaln(2.0 * s + 1.0)) + s * np.log(rr) - rr / 2.0)
-    return _radial_recurrence(n_max, s, rr, seed)
+    return _three_term(n_max, rr, seed, _radial_steps(n_max, s, rr))
 
 
 def _family(p: ModelParams):
@@ -239,6 +253,12 @@ def gauss_levels(p: ModelParams, n_max: int, order: int) -> np.ndarray:
         raise DomainError("n_max must be nonnegative")
     if order < 1:
         raise DomainError(f"need order >= 1, got {order}")
+    x, root_w = _gauss_rule(p, order)
+    return _three_term(n_max, x, root_w, _steps(p, n_max, x))
+
+
+def _gauss_rule(p: ModelParams, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and square-root weights of the rule of :func:`gauss_levels`."""
     with np.errstate(all="ignore"):
         if p.model is Model.TPT:
             x, w = roots_gegenbauer(order, p.lam)
@@ -253,9 +273,56 @@ def gauss_levels(p: ModelParams, n_max: int, order: int) -> np.ndarray:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(log_w))
             and np.all(root_w >= np.finfo(float).tiny)):
         raise QuadratureError(f"SciPy gave no valid {order}-node Gauss rule for {p}")
+    return x, root_w
+
+
+def _steps(p: ModelParams, n_max: int, x: np.ndarray):
     if p.model is Model.TPT:
-        return _tpt_recurrence(n_max, x, p.lam, root_w)
-    return _radial_recurrence(n_max, p.s, x, root_w)
+        return _tpt_steps(n_max, p.lam, x)
+    return _radial_steps(n_max, p.s, x)
+
+
+def ladder_matrix(p: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowering and raising matrices of the differential ladder operators on levels 0..n_max.
+
+    Entry [m, n] is <psi_m|M|psi_n>.  TPT, in u and with eps = lam + n for the level n acted on:
+
+        M+ = sqrt((eps+1)/eps) (-(1-u^2) d/du + eps u)
+        M- = sqrt((eps-1)/eps) ( (1-u^2) d/du + eps u)
+
+    Pseudoharmonic, in rho, with the number operator read as n:
+
+        L+ = rho d/drho + s + n + 1 - rho/2,   L- = -rho d/drho + s + n - rho/2
+
+    On psi_n = psi_0 q_n each image is psi_0 times a polynomial of degree n+1,
+
+        M+ psi_n = psi_0 sqrt((eps+1)/eps) ((lam+eps) u q_n - (1-u^2) q_n')
+        M- psi_n = psi_0 sqrt((eps-1)/eps) ((eps-lam) u q_n + (1-u^2) q_n')
+        L+ R_n = R_0 ((2s+n+1-rho) q_n + rho q_n'),   L- R_n = R_0 (n q_n - rho q_n')
+
+    so every element is exact on the (n_max+2)-node rule of :func:`gauss_levels`:
+    Q @ image.T, with q_n' from the differentiated level recurrence.  Column
+    0 of the lowering matrix is the bracket alone, since TPT's prefactor is
+    imaginary for lam < 1; the bracket vanishes there.  The matrices should
+    equal sqrt(d) times the deformed ladder amplitudes
+    (:func:`defosc.fock.ladder_amplitudes`) on one off-diagonal and 0
+    elsewhere, with d the deformation's su(1,1) level scale.
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    x, root_w = _gauss_rule(p, n_max + 2)
+    q, dq = _three_term(n_max, x, root_w, _steps(p, n_max, x), slopes=True)
+    n = np.arange(n_max + 1, dtype=float)[:, None]
+    if p.model is Model.TPT:
+        eps = p.lam + n
+        edge = (1.0 - x * x) * dq
+        raising = np.sqrt((eps + 1.0) / eps) * ((p.lam + eps) * x * q - edge)
+        lowering = (eps - p.lam) * x * q + edge
+        lowering[1:] *= np.sqrt((eps[1:] - 1.0) / eps[1:])
+    else:
+        raising = (2.0 * p.s + n + 1.0 - x) * q + x * dq
+        lowering = n * q - x * dq
+    return q @ lowering.T, q @ raising.T
 
 
 def coherent_wavefunction(c: np.ndarray, x, p: ModelParams) -> np.ndarray:
@@ -297,71 +364,3 @@ def orthonormality_gram(p: ModelParams, n_max: int = 10, tol: float = 1e-12,
             f"Gram matrices on {n_max + 1} and {n_max + 2} nodes differ by {diff:.1e} > {tol:.1e}"
         )
     return gram, diff, n_max + 1
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference ladder verification
-
-
-class LadderFit(NamedTuple):
-    coeff_minus: float
-    coeff_plus: float
-    residual_minus: float
-    residual_plus: float
-
-
-def _ls_fit(image: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    denom = float(np.dot(target, target))
-    if denom == 0.0:
-        raise QuadratureError("least-squares target vanishes on this grid")
-    coeff = float(np.dot(image, target)) / denom
-    residual = float(np.max(np.abs(image - coeff * target)))
-    return coeff, residual
-
-
-def ladder_action_fd(n: int, p: ModelParams, nodes, h: float = 1e-5) -> LadderFit:
-    """Finite-difference check of the model's differential ladder operators.
-
-    TPT, at nodes u and with eps = lam + n:
-
-        M+ = (1-u^2) (-d/du + eps u / (1-u^2)) sqrt((eps+1)/eps)
-        M- = (1-u^2) ( d/du + eps u / (1-u^2)) sqrt((eps-1)/eps)
-
-    whose coefficients are m+ = sqrt((n+1)(2 lam + n)) and
-    m- = sqrt(n (2 lam + n - 1)).  Pseudoharmonic, at nodes rho, with the
-    number operator read as the scalar index n of the state acted on:
-
-        L- = -rho d/drho + s + n - rho/2,   L+ = rho d/drho + s + n + 1 - rho/2
-
-    whose coefficients are sqrt(n (n + 2s)) and sqrt((n+1)(n + 2s + 1)).
-
-    Both operators are applied to psi_n, its derivative by central
-    differences of step h (nodes +/- h must lie in the model's domain), and
-    the images are fitted against psi_{n+1} and psi_{n-1}.  For n = 0 the
-    minus branch has no target: coeff_minus is 0 and residual_minus is the
-    raw annihilation residual, max|M- psi_0| or max|L- R_0| (TPT's scalar
-    prefactor omitted, since eps - 1 can be negative for lam < 1).
-    """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if not (h > 0.0 and math.isfinite(h)):
-        raise DomainError(f"h must be finite and positive, got {h}")
-    x = np.atleast_1d(np.asarray(nodes, dtype=float))
-    m = x.size
-    fam = _family(p)(n + 1, np.concatenate([x - h, x, x + h]), p)
-    psi = fam[n, m : 2 * m]
-    dpsi = (fam[n, 2 * m :] - fam[n, :m]) / (2.0 * h)
-    if p.model is Model.TPT:
-        eps = p.lam + n
-        image_plus = (-(1.0 - x * x) * dpsi + eps * x * psi) * math.sqrt((eps + 1.0) / eps)
-        image_minus = (1.0 - x * x) * dpsi + eps * x * psi
-        if n >= 1:
-            image_minus = image_minus * math.sqrt((eps - 1.0) / eps)
-    else:
-        image_minus = -x * dpsi + (p.s + n - x / 2.0) * psi
-        image_plus = x * dpsi + (p.s + n + 1.0 - x / 2.0) * psi
-    coeff_plus, res_plus = _ls_fit(image_plus, fam[n + 1, m : 2 * m])
-    if n == 0:
-        return LadderFit(0.0, coeff_plus, float(np.max(np.abs(image_minus))), res_plus)
-    coeff_minus, res_minus = _ls_fit(image_minus, fam[n - 1, m : 2 * m])
-    return LadderFit(coeff_minus, coeff_plus, res_minus, res_plus)

@@ -2,8 +2,8 @@
 
 ``RUNS`` is the default matrix (3 models x 7 tasks, ``coherent`` and
 ``wavefunction`` once per method: 45 runs) plus edge runs on the cutoff
-growth, truncation and quadrature paths and on the size caps of the
-configuration.  ``golden.json`` stores, for each
+growth, truncation, quadrature and domain-error paths and on the size caps
+of the configuration.  ``golden.json`` stores, for each
 run, its argv, environment, exit code and the sha256 of each output file,
 together with the NumPy and SciPy versions that produced them;
 ``test_golden.py`` replays the runs against it.
@@ -91,6 +91,13 @@ _EDGE = (
     ("edge-tpt-wavefunction-grid-nodes2^62", "wavefunction", {"grid_nodes": 2 ** 62}, {}),
     ("edge-pseudoharmonic-displacement-check-direct-weight3e-14", "displacement-check",
      {"model": "pseudoharmonic", "s": 1.441, "alpha_re": 1.149, "alpha_im": 0.556}, {}),
+    ("edge-tpt-coherent-displacement-direct-weight5e-22", "coherent",
+     {"lambda": 6.8286174187391415, "alpha_re": 2.6204250834813703,
+      "alpha_im": 2.221840693025592, "method": "displacement-direct"}, {}),
+    ("edge-pseudoharmonic-coherent-displacement-factored-s400", "coherent",
+     {"model": "pseudoharmonic", "s": 400.0, "alpha_re": 1.4, "method": "displacement-factored"}, {}),
+    ("edge-pseudoharmonic-displacement-check-s200", "displacement-check",
+     {"model": "pseudoharmonic", "s": 200.0, "alpha_re": 3.0, "alpha_im": 0.9}, {}),
 )
 
 RUNS = _default_runs() + [

@@ -18,6 +18,7 @@ from defosc import (
     ModelParams,
     annihilation_eigenstate,
     closed_form_bg_coefficients,
+    deformation_for,
     deformed_displacement_coefficients,
     deformed_hamiltonian_antisymmetric,
     deformed_hamiltonian_symmetric,
@@ -27,16 +28,16 @@ from defosc import (
     glauber_coefficients,
     harmonic_deformation,
     harmonic_limit_deviation,
-    ladder_action_fd,
     ladder_amplitudes,
+    ladder_matrix,
     orthonormality_gram,
     pseudoharmonic_deformation,
     pseudoharmonic_energy,
     tpt_deformation,
     tpt_energy,
-    tpt_ladder_coefficients,
     zeta_from_alpha,
 )
+from ladder_route import eigenstate_by_ladder
 
 
 def report(name: str, deviation: float, tolerance: float, runtime: float, budget: float) -> None:
@@ -141,7 +142,7 @@ def test_criterion_3_coefficient_identity():
     for lam, alpha in _random_draws():
         f = tpt_deformation(ModelParams.tpt(lam))
         by_deformed = annihilation_eigenstate(f, alpha, cutoff).state.coeffs
-        by_ladder = tpt_ladder_coefficients(lam, alpha, cutoff)
+        by_ladder = eigenstate_by_ladder(ModelParams.tpt(lam), alpha, cutoff)
         by_gamma = closed_form_bg_coefficients(f, alpha, cutoff).state.coeffs
         worst = max(worst, float(np.max(np.abs(by_deformed - by_ladder))))
         worst = max(worst, float(np.max(np.abs(by_deformed - by_gamma))))
@@ -219,31 +220,22 @@ def test_criterion_6_harmonic_limit():
     assert runtime <= budget
 
 
-def test_criterion_7_finite_difference_ladders():
-    tol, budget = 1e-6, 30.0
+def test_criterion_7_eigenfunction_ladders():
+    # every entry of the lowering and raising matrices built from the
+    # eigenfunctions against sqrt(d) times the deformed ladder amplitudes
+    tol, budget = 1e-10, 30.0
+    k = 60
     start = time.perf_counter()
     worst = 0.0
-    u_nodes = np.linspace(-0.9, 0.9, 241)
-    for lam in (1.0, 2.0, 10.0):
-        p = ModelParams.tpt(lam, 1.0)
-        for n in range(11):
-            fit = ladder_action_fd(n, p, u_nodes)
-            m_plus = math.sqrt((n + 1) * (2 * lam + n))
-            worst = max(worst, abs(fit.coeff_plus - m_plus) / m_plus)
-            if n >= 1:
-                m_minus = math.sqrt(n * (2 * lam + n - 1))
-                worst = max(worst, abs(fit.coeff_minus - m_minus) / m_minus)
-    rho_nodes = np.linspace(0.2, 35.0, 301)
-    for s in (0.5, 1.0, 3.0):
-        for n in range(11):
-            fit = ladder_action_fd(n, ModelParams.pseudoharmonic(s), rho_nodes)
-            m_plus = math.sqrt((n + 1) * (n + 2 * s + 1))
-            worst = max(worst, abs(fit.coeff_plus - m_plus) / m_plus)
-            if n >= 1:
-                m_minus = math.sqrt(n * (n + 2 * s))
-                worst = max(worst, abs(fit.coeff_minus - m_minus) / m_minus)
+    params = [ModelParams.tpt(lam, 1.0) for lam in (1.0, 2.0, 10.0)]
+    params += [ModelParams.pseudoharmonic(s) for s in (0.5, 1.0, 3.0)]
+    for p in params:
+        f = deformation_for(p)
+        amp = math.sqrt(f.su11_scale) * ladder_amplitudes(f, k + 1)
+        lowering, raising = ladder_matrix(p, k)
+        worst = max(worst, rel_dev(lowering, np.diag(amp, 1)), rel_dev(raising, np.diag(amp, -1)))
     runtime = time.perf_counter() - start
-    report("criterion-7 finite-difference-ladders", worst, tol, runtime, budget)
+    report("criterion-7 eigenfunction-ladders", worst, tol, runtime, budget)
     assert worst <= tol
     assert runtime <= budget
 

@@ -29,12 +29,12 @@ from defosc import (
     photon_statistics,
     pseudoharmonic_deformation,
     tpt_deformation,
-    tpt_ladder_coefficients,
     zeta_from_alpha,
 )
 from defosc import coherent
 from defosc.coherent import MAX_CUTOFF_ENV, max_auto_cutoff
 from defosc.fock import matrix_exponential
+from ladder_route import eigenstate_by_ladder
 
 TPT2 = tpt_deformation(ModelParams.tpt(2.0))
 
@@ -231,11 +231,11 @@ class TestClosedFormCoefficients:
     def test_ladder_route_identical(self):
         # eigenfunction-ladder amplitudes and deformed-operator amplitudes
         # define the same coefficient family
-        lam, alpha = 3.3, 1.7 * np.exp(0.9j)
-        p = ModelParams.tpt(lam)
-        lad = tpt_ladder_coefficients(lam, alpha, 64)
-        deformed = annihilation_eigenstate(tpt_deformation(p), alpha, 64)
-        assert np.max(np.abs(lad - deformed.state.coeffs)) < 1e-13
+        alpha = 1.7 * np.exp(0.9j)
+        for p in (ModelParams.tpt(3.3), ModelParams.pseudoharmonic(2.7)):
+            by_ladder = eigenstate_by_ladder(p, alpha, 64)
+            deformed = annihilation_eigenstate(deformation_for(p), alpha, 64)
+            assert np.max(np.abs(by_ladder - deformed.state.coeffs)) < 1e-13
 
 
 class TestZetaMap:
@@ -333,6 +333,11 @@ class TestDisplacementOperatorRoutes:
         res = displacement_state_factored(f, 0.0, 6)
         assert np.array_equal(res.state.coeffs, basis(0, 6))
         assert res.normalization_constant == 1.0
+
+    def test_factored_zero_norm_image_rejected(self):
+        # (1-|zeta|^2)^(k+n) underflows to 0 on every level at s = 400
+        with pytest.raises(DomainError, match="norm 0.0"):
+            displacement_state_factored(pseudoharmonic_deformation(400.0), 1.4, 128)
 
     def test_factored_needs_no_dense_exponential(self, monkeypatch):
         def no_dense(*args):
@@ -501,10 +506,22 @@ class TestStructuralIdentity:
         alpha = amag * np.exp(1j * phase)
         f = tpt_deformation(ModelParams.tpt(lam))
         a = annihilation_eigenstate(f, alpha, 64)
-        b = tpt_ladder_coefficients(lam, alpha, 64)
+        b = eigenstate_by_ladder(f.params, alpha, 64)
         c = closed_form_bg_coefficients(f, alpha, 64)
         assert np.max(np.abs(a.state.coeffs - b)) < 1e-12
         assert np.max(np.abs(a.state.coeffs - c.state.coeffs)) < 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        s=st.floats(min_value=0.5, max_value=50.0),
+        amag=st.floats(min_value=0.0, max_value=4.0),
+        phase=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_pseudoharmonic_eigenstate_families_coincide(self, s, amag, phase):
+        alpha = amag * np.exp(1j * phase)
+        p = ModelParams.pseudoharmonic(s)
+        a = annihilation_eigenstate(deformation_for(p), alpha, 64)
+        assert np.max(np.abs(a.state.coeffs - eigenstate_by_ladder(p, alpha, 64))) < 1e-12
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(

@@ -9,13 +9,15 @@ from scipy.integrate import quad
 
 from defosc import (
     DomainError,
+    Model,
     ModelParams,
     QuadratureError,
     annihilation_eigenstate,
     coherent_wavefunction,
     deformation_for,
     gauss_levels,
-    ladder_action_fd,
+    ladder_amplitudes,
+    ladder_matrix,
     orthonormality_gram,
     pseudoharmonic_radials,
     sample_points,
@@ -160,68 +162,100 @@ class TestPseudoharmonicRadial:
         assert q[n] @ q[m] == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
 
 
+def _fd_images(p, n, x, h=1e-5):
+    """M- psi_n and M+ psi_n (L- R_n and L+ R_n) at the points x, by central
+    differences; the lowering image of n = 0 omits TPT's scalar prefactor."""
+    family = tpt_eigenfunctions if p.model is Model.TPT else pseudoharmonic_radials
+    m = x.size
+    fam = family(n, np.concatenate([x - h, x, x + h]), p)[n]
+    psi, dpsi = fam[m : 2 * m], (fam[2 * m :] - fam[:m]) / (2.0 * h)
+    if p.model is Model.TPT:
+        eps = p.lam + n
+        lowering = (1.0 - x * x) * dpsi + eps * x * psi
+        if n >= 1:
+            lowering = lowering * math.sqrt((eps - 1.0) / eps)
+        raising = (-(1.0 - x * x) * dpsi + eps * x * psi) * math.sqrt((eps + 1.0) / eps)
+        return lowering, raising
+    return -x * dpsi + (p.s + n - x / 2.0) * psi, x * dpsi + (p.s + n + 1.0 - x / 2.0) * psi
+
+
 class TestLadderFiniteDifference:
-    @pytest.fixture
-    def tpt_nodes(self):
-        return np.linspace(-0.9, 0.9, 241)
+    """Columns of ``ladder_matrix`` against the differential operators applied
+    to the eigenfunctions by central differences at sample points."""
 
-    def test_raising_from_ground(self, tpt_nodes):
-        p = ModelParams.tpt(2.0, 1.0)
-        fit = ladder_action_fd(0, p, tpt_nodes)
-        assert fit.coeff_plus == pytest.approx(2.0, rel=1e-6)
-        assert fit.coeff_minus == 0.0
-        assert fit.residual_minus < 1e-9  # ground state is annihilated
+    TPT_NODES = np.linspace(-0.9, 0.9, 241)
+    RHO_NODES = np.linspace(0.2, 35.0, 301)
 
-    def test_first_level_both_branches(self, tpt_nodes):
-        p = ModelParams.tpt(2.0, 1.0)
-        fit = ladder_action_fd(1, p, tpt_nodes)
-        assert fit.coeff_minus == pytest.approx(2.0, rel=1e-6)
-        assert fit.coeff_plus == pytest.approx(math.sqrt(10.0), rel=1e-6)
+    def matrices(self, p, n, nodes):
+        # column n, summed over the levels, must be the operator image of psi_n
+        lowering, raising = ladder_matrix(p, n + 1)
+        family = tpt_eigenfunctions if p.model is Model.TPT else pseudoharmonic_radials
+        levels = family(n + 1, nodes, p)
+        for matrix, image in zip((lowering, raising), _fd_images(p, n, nodes)):
+            assert np.max(np.abs(matrix[:, n] @ levels - image)) <= 1e-7 * max(1.0, np.max(np.abs(image)))
+        return lowering, raising
+
+    def test_raising_from_ground(self):
+        lowering, raising = self.matrices(ModelParams.tpt(2.0, 1.0), 0, self.TPT_NODES)
+        assert raising[1, 0] == pytest.approx(2.0, rel=1e-12)
+        assert np.all(lowering[:, 0] == 0.0)  # ground state is annihilated
+
+    def test_first_level_both_branches(self):
+        lowering, raising = self.matrices(ModelParams.tpt(2.0, 1.0), 1, self.TPT_NODES)
+        assert lowering[0, 1] == pytest.approx(2.0, rel=1e-12)
+        assert raising[2, 1] == pytest.approx(math.sqrt(10.0), rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0, 10.0])
     @pytest.mark.parametrize("n", [0, 1, 4, 10])
-    def test_tpt_sweep(self, lam, n, tpt_nodes):
-        p = ModelParams.tpt(lam, 1.0)
-        fit = ladder_action_fd(n, p, tpt_nodes)
-        m_plus = math.sqrt((n + 1) * (2 * lam + n))
-        assert fit.coeff_plus == pytest.approx(m_plus, rel=1e-6)
+    def test_tpt_sweep(self, lam, n):
+        lowering, raising = self.matrices(ModelParams.tpt(lam, 1.0), n, self.TPT_NODES)
+        assert raising[n + 1, n] == pytest.approx(math.sqrt((n + 1) * (2 * lam + n)), rel=1e-12)
         if n >= 1:
-            m_minus = math.sqrt(n * (2 * lam + n - 1))
-            assert fit.coeff_minus == pytest.approx(m_minus, rel=1e-6)
+            assert lowering[n - 1, n] == pytest.approx(math.sqrt(n * (2 * lam + n - 1)), rel=1e-12)
 
     def test_pseudoharmonic_examples(self):
-        nodes = np.linspace(0.2, 25.0, 241)
         p = ModelParams.pseudoharmonic(1.0)
-        fit = ladder_action_fd(2, p, nodes)
-        assert fit.coeff_minus == pytest.approx(math.sqrt(8.0), rel=1e-6)
-        fit0 = ladder_action_fd(0, p, nodes)
-        assert fit0.coeff_plus == pytest.approx(math.sqrt(3.0), rel=1e-6)
-        assert fit0.coeff_minus == 0.0
-        assert fit0.residual_minus < 1e-8
+        lowering, _ = self.matrices(p, 2, self.RHO_NODES)
+        assert lowering[1, 2] == pytest.approx(math.sqrt(8.0), rel=1e-12)
+        lowering, raising = self.matrices(p, 0, self.RHO_NODES)
+        assert raising[1, 0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert np.all(lowering[:, 0] == 0.0)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("n", [0, 1, 5, 10])
     def test_pseudoharmonic_sweep(self, s, n):
-        nodes = np.linspace(0.2, 35.0, 301)
-        fit = ladder_action_fd(n, ModelParams.pseudoharmonic(s), nodes)
-        assert fit.coeff_plus == pytest.approx(math.sqrt((n + 1) * (n + 2 * s + 1)), rel=1e-6)
+        lowering, raising = self.matrices(ModelParams.pseudoharmonic(s), n, self.RHO_NODES)
+        assert raising[n + 1, n] == pytest.approx(math.sqrt((n + 1) * (n + 2 * s + 1)), rel=1e-12)
         if n >= 1:
-            assert fit.coeff_minus == pytest.approx(math.sqrt(n * (n + 2 * s)), rel=1e-6)
+            assert lowering[n - 1, n] == pytest.approx(math.sqrt(n * (n + 2 * s)), rel=1e-12)
 
-    def test_nodes_too_close_to_edge(self):
-        p = ModelParams.tpt(2.0, 1.0)
-        with pytest.raises(DomainError):
-            ladder_action_fd(1, p, np.array([0.9999999]))
-        with pytest.raises(DomainError):
-            ladder_action_fd(1, ModelParams.pseudoharmonic(1.0), np.array([5e-6, 1.0]))
-        with pytest.raises(DomainError):
-            ladder_action_fd(1, ModelParams.harmonic(), np.array([0.5]))
 
-    def test_degenerate_target_rejected(self):
-        # single node placed at a zero of the target function
-        p = ModelParams.tpt(2.0, 1.0)
-        with pytest.raises(QuadratureError):
-            ladder_action_fd(0, p, np.array([0.0]))  # psi_1(0) = 0
+_LADDER_PARAMS = [ModelParams.tpt(lam, 1.0) for lam in (0.75, 1.0, 2.0, 10.0, 100.0)] + [
+    ModelParams.pseudoharmonic(s) for s in (0.5, 1.0, 3.0, 20.0, 50.0)]
+
+
+class TestLadderMatrix:
+    @pytest.mark.parametrize("p", _LADDER_PARAMS, ids=lambda p: f"{p.model.value}-{p.lam or p.s}")
+    def test_equals_deformed_generators(self, p):
+        # every entry, off-band ones included, relative to the entry and floored at 1
+        f = deformation_for(p)
+        amp = math.sqrt(f.su11_scale) * ladder_amplitudes(f, 61)
+        lowering, raising = ladder_matrix(p, 60)
+        for got, want in ((lowering, np.diag(amp, 1)), (raising, np.diag(amp, -1))):
+            assert got.shape == (61, 61)
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-10
+        assert np.all(lowering[:, 0] == 0.0)
+
+    def test_single_level(self):
+        lowering, raising = ladder_matrix(ModelParams.tpt(2.0, 1.0), 0)
+        assert lowering.shape == raising.shape == (1, 1)
+        assert lowering[0, 0] == 0.0 and abs(raising[0, 0]) < 1e-14
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            ladder_matrix(ModelParams.harmonic(), 4)
+        with pytest.raises(DomainError):
+            ladder_matrix(ModelParams.tpt(2.0, 1.0), -1)
 
 
 class TestOverlapQuadrature:
@@ -375,7 +409,6 @@ class TestSamplePoints:
 
 _TPT = ModelParams.tpt(2.0, 1.0)
 _PH = ModelParams.pseudoharmonic(1.0)
-_RHO = np.linspace(0.2, 25.0, 11)
 
 
 @pytest.mark.parametrize("call", [
@@ -384,16 +417,9 @@ _RHO = np.linspace(0.2, 25.0, 11)
     lambda: tpt_ground(math.inf, _TPT),
     lambda: pseudoharmonic_radials(3, [1.0, math.nan], _PH),
     lambda: pseudoharmonic_radials(3, [1.0, math.inf], _PH),
-    lambda: ladder_action_fd(1, _TPT, np.linspace(-0.9, 0.9, 11), h=math.nan),
-    lambda: ladder_action_fd(1, _TPT, np.linspace(-0.9, 0.9, 11), h=math.inf),
-    lambda: ladder_action_fd(1, _TPT, np.array([0.1, math.nan])),
-    lambda: ladder_action_fd(1, _PH, _RHO, h=math.nan),
-    lambda: ladder_action_fd(1, _PH, np.append(_RHO, math.inf)),
-    lambda: ladder_action_fd(1, _PH, np.append(_RHO, math.nan)),
-    lambda: ladder_action_fd(1, ModelParams.pseudoharmonic(math.nan), _RHO),
+    lambda: ladder_matrix(ModelParams.pseudoharmonic(math.nan), 3),
 ], ids=["tpt-levels-nan-u", "tpt-ground-nan", "tpt-ground-inf", "radials-nan-rho",
-        "radials-inf-rho", "fd-tpt-nan-h", "fd-tpt-inf-h", "fd-tpt-nan-node", "fd-radial-nan-h",
-        "fd-radial-inf-node", "fd-radial-nan-node", "fd-radial-nan-s"])
+        "radials-inf-rho", "fd-radial-nan-s"])
 def test_non_finite_inputs_rejected(call):
     with pytest.raises(DomainError):
         call()

@@ -28,11 +28,14 @@ from bench.tracing import Tracer  # noqa: E402
 # (None where it exits 3 and writes nothing)
 SLICE = {
     75: 2048,   # coherent, displacement-factored: grows from 128
-    245: 128,   # coherent, displacement-direct: fails the oracle check
+    245: 256,   # coherent, displacement-direct: grows to a weight below 1e-24
     463: 256,   # displacement-check: the direct route grows to a weight below 1e-18
     470: None,  # displacement-check: the direct route misses tail_tol, exit 3
     601: None,  # coherent, displacement-factored: grows to the cap, exit 3
 }
+# A job that fails a check (exit 1) and reports no cutoff: the deviation
+# grows from lambda 1e4 to 100
+FAILS_A_CHECK = workloads.Job("harmonic-limit", (("lambdas", [10000.0, 100.0]),))
 
 
 def _replay(job, out_dir):
@@ -74,13 +77,13 @@ def test_traced_run_has_the_untraced_causes(job, tmp_path):
 
 def test_traced_slice_has_the_untraced_outcomes(tmp_path):
     job_list = workloads.build("tasks-default", 1)
+    cases = [(str(index), job_list[index], cutoff) for index, cutoff in SLICE.items()]
     causes = []
-    for index, cutoff in SLICE.items():
-        job = job_list[index]
-        plain, traced, tracer = _replay(job, str(tmp_path / str(index)))
-        assert tracer.spans, index
-        assert _facts(traced) == _facts(plain), index
-        assert _cutoff_used(job, str(tmp_path / str(index) / "report")) == cutoff, index
+    for name, job, cutoff in cases + [("fails-a-check", FAILS_A_CHECK, None)]:
+        plain, traced, tracer = _replay(job, str(tmp_path / name))
+        assert tracer.spans, name
+        assert _facts(traced) == _facts(plain), name
+        assert _cutoff_used(job, str(tmp_path / name / "report")) == cutoff, name
         causes += plain.causes
     # the slice keeps a truncation failure and a failed check
     assert "exit3" in causes and any(not c.startswith("exit") for c in causes)
