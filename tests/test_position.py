@@ -163,20 +163,24 @@ class TestPseudoharmonicRadial:
 
 
 def _fd_images(p, n, x, h=1e-5):
-    """M- psi_n and M+ psi_n (L- R_n and L+ R_n) at the points x, by central
-    differences; the lowering image of n = 0 omits TPT's scalar prefactor."""
+    """Levels 0..n+1 at the points x, with M- psi_n and M+ psi_n (L- R_n and
+    L+ R_n) there by central differences; the lowering image of n = 0 omits
+    TPT's scalar prefactor."""
     family = tpt_eigenfunctions if p.model is Model.TPT else pseudoharmonic_radials
     m = x.size
-    fam = family(n, np.concatenate([x - h, x, x + h]), p)[n]
-    psi, dpsi = fam[m : 2 * m], (fam[2 * m :] - fam[:m]) / (2.0 * h)
+    fam = family(n + 1, np.concatenate([x - h, x, x + h]), p)
+    levels = fam[:, m : 2 * m]
+    psi, dpsi = levels[n], (fam[n, 2 * m :] - fam[n, :m]) / (2.0 * h)
     if p.model is Model.TPT:
         eps = p.lam + n
         lowering = (1.0 - x * x) * dpsi + eps * x * psi
         if n >= 1:
             lowering = lowering * math.sqrt((eps - 1.0) / eps)
         raising = (-(1.0 - x * x) * dpsi + eps * x * psi) * math.sqrt((eps + 1.0) / eps)
-        return lowering, raising
-    return -x * dpsi + (p.s + n - x / 2.0) * psi, x * dpsi + (p.s + n + 1.0 - x / 2.0) * psi
+    else:
+        lowering = -x * dpsi + (p.s + n - x / 2.0) * psi
+        raising = x * dpsi + (p.s + n + 1.0 - x / 2.0) * psi
+    return levels, lowering, raising
 
 
 class TestLadderFiniteDifference:
@@ -189,10 +193,10 @@ class TestLadderFiniteDifference:
     def matrices(self, p, n, nodes):
         # column n, summed over the levels, must be the operator image of psi_n
         lowering, raising = ladder_matrix(p, n + 1)
-        family = tpt_eigenfunctions if p.model is Model.TPT else pseudoharmonic_radials
-        levels = family(n + 1, nodes, p)
-        for matrix, image in zip((lowering, raising), _fd_images(p, n, nodes)):
-            assert np.max(np.abs(matrix[:, n] @ levels - image)) <= 1e-7 * max(1.0, np.max(np.abs(image)))
+        levels, *images = _fd_images(p, n, nodes)
+        for matrix, image in zip((lowering, raising), images):
+            scale = max(1.0, np.max(np.abs(image)))
+            assert np.max(np.abs(matrix[:, n] @ levels - image)) <= 1e-7 * scale
         return lowering, raising
 
     def test_raising_from_ground(self):
