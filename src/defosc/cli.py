@@ -346,18 +346,24 @@ _ROUTES = {
 }
 
 
-def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
-    """The state of ``method``, grown by :func:`grow_cutoff` up to DEFOSC_MAX_CUTOFF.
+# Highest cutoff the direct route grows to: past it the dense exponential costs
+# more than a run should
+_DIRECT_MAX_CUTOFF = 256
 
-    Every route doubles its cutoff until the tail meets ``tail_tol``, except
-    the direct route.  Its last weight is no tail bound, since the truncated
-    exponential reflects at the last level, so it must meet ``tail_tol`` at
-    the configured cutoff (else TruncationError).  As the checks compare
-    amplitudes at ``check_tol``, it then doubles on until its last weight is
-    at most ``check_tol**2``; the build at the given cutoff is not repeated.
-    A gap below one ulp of a unit amplitude cannot show, so a ``check_tol``
-    below eps asks no more than eps (its square would underflow to 0 below
-    1e-154)."""
+
+def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> cs.CoherentStateResult:
+    """The state of ``method``, grown by :func:`grow_cutoff`.
+
+    Every route but the direct one doubles its cutoff, up to
+    DEFOSC_MAX_CUTOFF, until its tail meets ``tail_tol``.  The direct
+    route's tail is its certificate (the exact tail and the squared Duhamel
+    bound), which needs no build.  As the checks compare amplitudes at
+    ``check_tol``, it must meet ``min(tail_tol, check_tol**2)``; a gap below
+    one ulp of a unit amplitude cannot show, so a ``check_tol`` below eps
+    asks no more than eps (its square would underflow to 0 below 1e-154).
+    ``grow_cutoff`` builds only at a cutoff whose certificate passes, so a
+    passing state is built once and a failing one never, and stops at the
+    larger of the given cutoff and ``min(256, DEFOSC_MAX_CUTOFF)``."""
     cutoff = cfg.settings["cutoff"]
     route = getattr(cs, _ROUTES[method])
     parameter = cfg.alpha
@@ -369,9 +375,10 @@ def _build_state(cfg: RunConfig, f: models.DeformationFunction, method: str) -> 
 
     if method != "displacement-direct":
         return cs.grow_cutoff(build, cutoff, cfg.settings["tail_tol"])
-    pinned = cs.grow_cutoff(build, cutoff, cfg.settings["tail_tol"], cutoff)
-    last_weight = max(cfg.settings["check_tol"], np.finfo(float).eps) ** 2
-    return cs.grow_cutoff(lambda n: pinned if n == cutoff else build(n), cutoff, last_weight)
+    target = min(cfg.settings["tail_tol"], max(cfg.settings["check_tol"], np.finfo(float).eps) ** 2)
+    limit = max(cutoff, min(_DIRECT_MAX_CUTOFF, cs.max_auto_cutoff()))
+    return cs.grow_cutoff(build, cutoff, target, limit,
+                          tail=lambda n: cs._direct_tail_mass(f, abs(parameter), n))
 
 
 def _task_coherent(cfg: RunConfig):

@@ -33,6 +33,7 @@ form).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammainc, gammaln
 
 from .errors import DomainError, SizeMismatchError, TruncationError
 from .fock import FockVector, OperatorMatrix, exp_ladder_apply, ladder_amplitudes, matrix_exponential
@@ -103,9 +104,13 @@ class CoherentStateResult:
 
 
 def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_tol: float,
-                max_cutoff: Optional[int] = None) -> CoherentStateResult:
+                max_cutoff: Optional[int] = None,
+                tail: Optional[Callable[[int], float]] = None) -> CoherentStateResult:
     """``build(n)`` at n = cutoff, 2 cutoff, 4 cutoff, ... until its tail mass is at most ``tail_tol``.
 
+    ``tail(n)``, when given, is the tail mass ``build(n)`` reports, known
+    without building it: a cutoff whose tail is above ``tail_tol`` is passed
+    over unbuilt, so a passing state is built once and a failing one never.
     A doubling past ``max_cutoff`` (default :func:`max_auto_cutoff`, read
     before the first build; ``max_cutoff=cutoff`` pins the cutoff) raises
     :class:`TruncationError`.
@@ -113,13 +118,18 @@ def grow_cutoff(build: Callable[[int], CoherentStateResult], cutoff: int, tail_t
     limit = max_auto_cutoff() if max_cutoff is None else max_cutoff
     n = cutoff
     while True:
-        result = build(n)
-        if result.tail_mass <= tail_tol:
-            return result
+        mass = None if tail is None else tail(n)
+        if mass is None or mass <= tail_tol:
+            result = build(n)
+            if result.tail_mass <= tail_tol:
+                return result
+            what, mass = f"{result.method.value} tail mass", result.tail_mass
+        else:
+            what = "tail mass bound"
         if 2 * n > limit:
             hint = f" (raise {MAX_CUTOFF_ENV} to allow larger bases)" if max_cutoff is None else ""
             raise TruncationError(
-                f"{result.method.value} tail mass {result.tail_mass:.3e} above tolerance "
+                f"{what} {mass:.3e} above tolerance "
                 f"{tail_tol:.1e} at cutoff {n}; doubling would exceed the cap {limit}{hint}"
             )
         n *= 2
@@ -280,15 +290,91 @@ def deformed_displacement_coefficients(f: DeformationFunction, zeta: complex, cu
 
 
 def _renormalized_image(image: np.ndarray, method: Method, parameter: complex,
-                        f: DeformationFunction) -> CoherentStateResult:
+                        f: DeformationFunction, tail: Optional[float] = None) -> CoherentStateResult:
     """Renormalized result of a displacement route; the raw norm (exactly 1
-    untruncated) is kept, and the tail mass is the last coefficient's weight.
-    A raw norm of 0 or not finite raises DomainError."""
+    untruncated) is kept, and the tail mass is ``tail`` or, if not given, the
+    last coefficient's weight.  A raw norm of 0 or not finite raises DomainError."""
     norm = float(np.linalg.norm(image))
     if not 0.0 < norm < math.inf:
         raise DomainError(f"{method.value} image has norm {norm!r} at cutoff {image.size}")
-    tail = float(abs(image[-1]) ** 2) / norm**2
+    if tail is None:
+        tail = float(abs(image[-1]) ** 2) / norm**2
     return CoherentStateResult(FockVector(image / norm), method, parameter, norm, tail, f.params)
+
+
+@functools.cache
+def _duhamel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Fixed 32-node Gauss-Legendre rule on [0, 1] for the Duhamel integral
+    in t, whose integrand is smooth; built on first use, not at import."""
+    t, w = np.polynomial.legendre.leggauss(32)
+    return (t + 1.0) / 2.0, w / 2.0
+
+
+_EPS = float(np.finfo(float).eps)
+# Smallest level count the direct route exponentiates on
+_DIRECT_MIN_LEVELS = 16
+
+
+def _direct_certificate(f: DeformationFunction, radius: float, n: int) -> tuple[float, float]:
+    """Exact tail and Duhamel error bound of the direct route on ``n`` levels.
+
+    The exact vacuum image ``exp(tK) e_0`` at time t is the displacement
+    family at amplitude t|alpha| (negative binomial, or Poisson for the
+    slope-0 harmonic model).  Returns its weight on levels >= n,
+    ``betainc(n, 2k, tanh^2(|alpha|/sqrt(d)))`` (``gammainc(n, |alpha|^2
+    f^2)`` for slope 0), and the bound
+
+        ||P_n exp(K) e_0 - exp(K_n) e_0||_2 <= |alpha| sqrt(n f^2(n)) int_0^1 |c_n(t|alpha|)| dt
+
+    from Duhamel's formula: the truncated solution misses only the coupling
+    to level n, and ``exp(t K_n)`` is orthogonal.  ``c_n(a)`` is the level-n
+    coefficient of the family at amplitude a; ``log(1 - tanh^2 x)`` is taken
+    as ``-2 log cosh x`` so that a saturated tanh never enters a logarithm.
+    """
+    if radius == 0:
+        return 0.0, 0.0
+    nodes, weights = _duhamel_rule()
+    a = radius * nodes
+    # an amplitude that underflows (overflows) gives a log of -inf (+inf), a weight of 0 (1)
+    with np.errstate(divide="ignore", over="ignore"):
+        if f.slope == 0:
+            # Glauber family at amplitude a sqrt(f^2): Poisson weights of mean a^2 f^2
+            tail = float(gammainc(n, radius**2 * f.intercept))
+            log_c = (-0.5 * a**2 * f.intercept + n * (np.log(a) + 0.5 * math.log(f.intercept))
+                     - 0.5 * gammaln(n + 1.0))
+        else:
+            r = 2.0 * f.bargmann_index
+            x = a / math.sqrt(f.su11_scale)
+            tail = float(betainc(n, r, math.tanh(radius / math.sqrt(f.su11_scale)) ** 2))
+            log_cosh = x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+            log_c = (-r * log_cosh + n * np.log(np.tanh(x))
+                     + 0.5 * (gammaln(n + r) - gammaln(n + 1.0) - gammaln(r)))
+    coupling = radius * math.sqrt(n * float(f.fsq(n)))
+    return tail, coupling * float(weights @ np.exp(log_c))
+
+
+def _direct_tail_mass(f: DeformationFunction, radius: float, n: int) -> float:
+    """Tail mass the direct route reports on ``n`` levels: the larger of the
+    exact tail and the squared Duhamel bound."""
+    tail, bound = _direct_certificate(f, radius, n)
+    return max(tail, bound**2)
+
+
+def _direct_levels(f: DeformationFunction, radius: float, cutoff: int) -> int:
+    """Levels the direct route exponentiates on for a state of ``cutoff`` levels.
+
+    The smallest power of two m, from 16 up to ``cutoff``, where the exact
+    tail beyond m is at most eps^2 and the Duhamel bound at most eps, so
+    that the zero-padded image of the m-level exponential is the
+    ``cutoff``-level one to roundoff; ``cutoff`` if there is none.
+    """
+    m = _DIRECT_MIN_LEVELS
+    while m < cutoff:
+        tail, bound = _direct_certificate(f, radius, m)
+        if tail <= _EPS**2 and bound <= _EPS:
+            return m
+        m *= 2
+    return cutoff
 
 
 def displacement_state_direct(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
@@ -300,26 +386,39 @@ def displacement_state_direct(f: DeformationFunction, alpha: complex, cutoff: in
     vacuum image is therefore e^{i n phi} exp(K)[n, 0], with exp(K) a
     real dense exponential.  This route is the independent reference of
     the others.
+
+    The exponential is taken on the m <= cutoff levels that
+    :func:`_direct_levels` certifies, where the exact tail and the Duhamel
+    bound of :func:`_direct_certificate` are below roundoff, and its image
+    is zero-padded to ``cutoff``.  The reported tail mass is
+    :func:`_direct_tail_mass` at ``cutoff``: the truncated exponential
+    reflects at its last level, so its last weight is no tail bound.
     """
     alpha = _amplitude(alpha)
     amp = ladder_amplitudes(f, cutoff)
-    gen = OperatorMatrix(abs(alpha) * (np.diag(amp, -1) - np.diag(amp, 1)))
-    phases = np.exp(1j * cmath.phase(alpha) * np.arange(cutoff))
-    image = phases * matrix_exponential(gen).entries[:, 0]
-    return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f)
+    m = _direct_levels(f, abs(alpha), cutoff)
+    gen = OperatorMatrix(abs(alpha) * (np.diag(amp[: m - 1], -1) - np.diag(amp[: m - 1], 1)))
+    image = np.zeros(cutoff, dtype=complex)
+    image[:m] = np.exp(1j * cmath.phase(alpha) * np.arange(m)) * matrix_exponential(gen).entries[:, 0]
+    return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f,
+                               _direct_tail_mass(f, abs(alpha), cutoff))
 
 
 def displacement_state_factored(f: DeformationFunction, alpha: complex, cutoff: int) -> CoherentStateResult:
     """Vacuum image of the ordered factors of the disentangled displacement.
 
-    On the truncated basis exp(alpha A^dag - alpha* A) equals
+    On the infinite basis exp(alpha A^dag - alpha* A) equals
 
         exp(zeta sqrt(d) A^dag) * diag((1-|zeta|^2)^(k+n)) * exp(-zeta* sqrt(d) A)
 
     with d the su(1,1) level scale of the deformation and k its lowest
     weight; for the TPT model the middle diagonal is (1-|zeta|^2)^(lam+n).
-    The factors act right to left on the vacuum, each ladder exponential
-    by its finite series (:func:`defosc.fock.exp_ladder_apply`).
+    On the truncated basis the two differ, since the exponential of the
+    truncated generator reflects at the last level.  The factors act right
+    to left on the vacuum, each ladder exponential by its finite series
+    (:func:`defosc.fock.exp_ladder_apply`), and no factor reaches past the
+    cutoff, so the image is the first ``cutoff`` coefficients of the exact
+    family.
     """
     zeta = zeta_from_alpha(alpha, f)
     scale = math.sqrt(f.su11_scale)

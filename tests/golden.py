@@ -98,6 +98,9 @@ _EDGE = (
      {"model": "pseudoharmonic", "s": 400.0, "alpha_re": 1.4, "method": "displacement-factored"}, {}),
     ("edge-pseudoharmonic-displacement-check-s200", "displacement-check",
      {"model": "pseudoharmonic", "s": 200.0, "alpha_re": 3.0, "alpha_im": 0.9}, {}),
+    ("edge-pseudoharmonic-coherent-displacement-direct-s400", "coherent",
+     {"model": "pseudoharmonic", "s": 400.0, "alpha_re": 1.4, "method": "displacement-direct"}, {}),
+    ("edge-tpt-displacement-check-cutoff1024", "displacement-check", {"cutoff": 1024}, {}),
 )
 
 RUNS = _default_runs() + [

@@ -209,19 +209,20 @@ class TestChecksAndStatuses:
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_TRUNCATION
         assert "truncation error" in capsys.readouterr().err
-        # a tail_tol below 1e-12 is applied as given; the tails at cutoff 64 are
-        # 6.2e-14 (factored) and 1.5e-13 (direct).  The direct route is pinned
-        # to its cutoff; the factored route (two vector series) grows past it
-        argv = ["--param", "cutoff=64", "--param", "alpha_re=1.9", "--param", "tail_tol=1e-14"]
+        # a tail_tol below 1e-12 is applied as given.  The factored route (two
+        # vector series) grows up to DEFOSC_MAX_CUTOFF; the direct route (a
+        # dense exponential) grows on its certificate to at most 256, where
+        # the exact tail at alpha 4 is still 8.4e-6
+        argv = ["--param", "cutoff=64", "--param", "alpha_re=4.0", "--param", "tail_tol=1e-14"]
         code = main(["coherent", "--param", 'method="displacement-direct"', *argv,
                      "--out", str(tmp_path / "direct")])
         assert code == EXIT_TRUNCATION
-        assert "truncation error" in capsys.readouterr().err
+        assert "at cutoff 256" in capsys.readouterr().err
         out = str(tmp_path / "factored")
         assert main(["coherent", "--param", 'method="displacement-factored"', *argv,
                      "--out", out]) == EXIT_OK
         report = json.loads(read(os.path.join(out, "report.json")))
-        assert report["cutoff_used"] == 128 and report["tail_mass"] <= 1e-14
+        assert report["cutoff_used"] == 1024 and report["tail_mass"] <= 1e-14
 
     def test_domain_exit_status(self, tmp_path, capsys):
         # the harmonic reference has no su(1,1) structure and no coordinate
@@ -333,24 +334,36 @@ class TestOtherTasks:
                      "--out", str(tmp_path / "r")]) == EXIT_OK
 
     def test_displacement_check_grows_the_direct_route(self, tmp_path, capsys, monkeypatch):
-        # the direct route's last weight at cutoff 128 is 2.7e-14: within
-        # tail_tol, but a truncation gap of 7e-8 in the amplitudes, so the
-        # run exited 1.  It doubles to a weight below check_tol**2 = 1e-18
+        # at cutoff 128 the direct route's Duhamel bound is 2.7e-7 (its last
+        # weight, 2.7e-14, met tail_tol while the amplitudes were 7e-8 off, so
+        # the run once exited 1).  Its certificate, the exact tail and the
+        # squared bound, meets check_tol**2 = 1e-18 at 256
         argv = ["displacement-check", "--param", 'model="pseudoharmonic"', "--param", "s=1.441",
                 "--param", "alpha_re=1.149", "--param", "alpha_im=0.556"]
-        out = str(tmp_path / "r")
-        assert main(argv + ["--out", out]) == EXIT_OK
-        report = json.loads(read(os.path.join(out, "report.json")))
-        assert [c["parameters"]["cutoff"] for c in report["checks"]] == [256, 256]
-        assert all(c["max_deviation"] < 1e-12 for c in report["checks"])
-        assert len(read(os.path.join(out, "displacement-check.csv")).splitlines()) == 1 + 256
-        # the doubling stops at the cap, and a direct route short of tail_tol
-        # at the given cutoff is not grown
+        for cutoff in (128, 64):
+            out = str(tmp_path / f"r{cutoff}")
+            assert main(argv + ["--param", f"cutoff={cutoff}", "--out", out]) == EXIT_OK
+            report = json.loads(read(os.path.join(out, "report.json")))
+            assert [c["parameters"]["cutoff"] for c in report["checks"]] == [256, 256]
+            assert all(c["max_deviation"] < 1e-12 for c in report["checks"])
+            assert len(read(os.path.join(out, "displacement-check.csv")).splitlines()) == 1 + 256
+        # the growth stops at min(256, DEFOSC_MAX_CUTOFF), from any given cutoff
         monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "128")
-        assert main(argv + ["--out", str(tmp_path / "capped")]) == EXIT_TRUNCATION
-        assert "cap 128" in capsys.readouterr().err
-        assert main(argv + ["--param", "cutoff=64", "--out", str(tmp_path / "short")]) == EXIT_TRUNCATION
-        assert "displacement-direct" in capsys.readouterr().err
+        for cutoff in (128, 64):
+            assert main(argv + ["--param", f"cutoff={cutoff}",
+                                "--out", str(tmp_path / f"capped{cutoff}")]) == EXIT_TRUNCATION
+            # the certificate fails at every cutoff up to the cap, so nothing is built
+            err = capsys.readouterr().err
+            assert "tail mass bound" in err and "at cutoff 128" in err and "cap 128" in err
+
+    def test_displacement_check_fails_on_too_few_direct_levels(self, tmp_path, monkeypatch):
+        # fault injection: exponentiating on a quarter of the certified levels
+        # leaves a truncation gap that the checks see
+        argv = ["displacement-check", "--param", "alpha_re=1.2", "--param", "alpha_im=0.3"]
+        assert main(argv + ["--out", str(tmp_path / "certified")]) == EXIT_OK
+        chosen = coherent._direct_levels
+        monkeypatch.setattr(coherent, "_direct_levels", lambda f, radius, n: chosen(f, radius, n) // 4)
+        assert main(argv + ["--out", str(tmp_path / "quarter")]) == EXIT_CHECK_FAILED
 
     def test_wavefunction_explicit_zeta(self, tmp_path):
         assert main(["wavefunction", "--param", 'method="displacement"', "--param", "zeta_im=0.3",

@@ -115,6 +115,23 @@ class TestGrowCutoff:
         assert res.state.cutoff == tried[-1] and res.tail_mass <= 1e-12
         assert displacement_state_closed_form(TPT2, 0.9, tried[-2]).tail_mass > 1e-12
 
+    def test_a_known_tail_skips_the_builds_that_fail(self):
+        tried = []
+
+        def build(n):
+            tried.append(n)
+            return displacement_state_closed_form(TPT2, 0.9, n)
+
+        def tail(n):
+            return displacement_state_closed_form(TPT2, 0.9, n).tail_mass
+
+        res = grow_cutoff(build, 16, 1e-12, tail=tail)
+        assert tried == [res.state.cutoff] and res.state.cutoff > 16 and res.tail_mass <= 1e-12
+        tried.clear()
+        with pytest.raises(TruncationError, match="tail mass bound .* at cutoff 32; .* cap 32$"):
+            grow_cutoff(build, 16, 1e-12, 32, tail=tail)
+        assert tried == []
+
     def test_recurrence_grows_to_the_reported_cutoff(self):
         res = grow_cutoff(lambda n: annihilation_eigenstate(TPT2, 2.0, n), 4, 1e-12)
         assert res.state.cutoff > 4 and res.tail_mass <= 1e-12
@@ -415,6 +432,111 @@ class TestDirectRouteGauge:
         monkeypatch.setattr(coherent, "matrix_exponential", spy)
         displacement_state_direct(TPT2, 0.3 - 0.7j, 32)
         assert seen == [np.float64]
+
+
+CERTIFIED_MODELS = ([ModelParams.tpt(lam) for lam in (0.6, 2.0, 50.0)]
+                    + [ModelParams.pseudoharmonic(s) for s in (0.5, 1.441, 200.0)]
+                    + [ModelParams.harmonic()])
+
+
+def _level_coefficient(f, m, a):
+    """|c_m(a)| of the exact displacement family at amplitude a, scalar by scalar."""
+    if a == 0:
+        return float(m == 0)
+    if f.slope == 0:
+        return math.exp(-0.5 * a * a + m * math.log(a) - 0.5 * math.lgamma(m + 1))
+    r, x = 2.0 * f.bargmann_index, a / math.sqrt(f.su11_scale)
+    return math.exp(-r * math.log(math.cosh(x)) + m * math.log(math.tanh(x))
+                    + 0.5 * (math.lgamma(m + r) - math.lgamma(m + 1) - math.lgamma(r)))
+
+
+class TestDirectRouteCertificate:
+    """The exact tail and the Duhamel bound that size the direct route."""
+
+    @pytest.mark.parametrize("p", CERTIFIED_MODELS, ids=lambda p: deformation_for(p).label)
+    def test_bound_matches_adaptive_quadrature(self, p):
+        from scipy.integrate import quad
+
+        f = deformation_for(p)
+        for radius in (0.0, 0.7, 2.0, 4.0):
+            for m in (16, 128, 1024):
+                _, bound = coherent._direct_certificate(f, radius, m)
+                integral, _ = quad(lambda t: _level_coefficient(f, m, t * radius), 0.0, 1.0,
+                                   epsabs=0.0, epsrel=1e-10, limit=200)
+                ref = radius * math.sqrt(m * float(f.fsq(m))) * integral
+                if ref < 1.0:
+                    # the 32-node rule decides every bound that can pass
+                    assert bound == pytest.approx(ref, rel=0.05, abs=1e-300), (radius, m)
+                else:
+                    assert bound >= 1.0, (radius, m)
+
+    @pytest.mark.parametrize("p", CERTIFIED_MODELS, ids=lambda p: deformation_for(p).label)
+    def test_tail_matches_mpmath(self, p):
+        f = deformation_for(p)
+        with mp.workdps(40):
+            for radius in (0.0, 0.7, 2.0, 4.0):
+                for m in (16, 128, 1024):
+                    tail, _ = coherent._direct_certificate(f, radius, m)
+                    if f.slope == 0:
+                        ref = mp.gammainc(m, 0, mp.mpf(radius) ** 2, regularized=True)
+                    else:
+                        z = mp.tanh(mp.mpf(radius) / mp.sqrt(f.su11_scale)) ** 2
+                        ref = mp.betainc(m, 2 * mp.mpf(f.bargmann_index), 0, z, regularized=True)
+                    assert tail == pytest.approx(float(ref), rel=1e-10, abs=1e-300), (radius, m)
+
+    def test_reported_tail_is_the_certificate_at_the_cutoff(self):
+        res = displacement_state_direct(TPT2, 1.9, 64)
+        tail, bound = coherent._direct_certificate(TPT2, 1.9, 64)
+        assert res.tail_mass == max(tail, bound**2) == bound**2
+        # the truncated exponential reflects at its last level, so its last
+        # weight is no tail: at s 400 it is 1.4e-26 where the exact tail is 1
+        f = pseudoharmonic_deformation(400.0)
+        res = displacement_state_direct(f, 1.4, 128)
+        assert float(abs(res.state.coeffs[-1]) ** 2) < 1e-24
+        assert res.tail_mass >= coherent._direct_certificate(f, 1.4, 128)[0] > 0.99
+
+    @pytest.mark.parametrize("p, alpha, cutoff", [
+        (ModelParams.tpt(2.0), 0.75 * QUADRANT_AMPLITUDES[1], 128),
+        (ModelParams.pseudoharmonic(1.0), 0.3 - 0.4j, 128),
+        (ModelParams.harmonic(), 2.0 + 0.5j, 128),
+        (ModelParams.tpt(6.83), 1.5 - 0.4j, 512),
+        (ModelParams.pseudoharmonic(2.5), 1.0j, 512),
+        (ModelParams.tpt(2.0), QUADRANT_AMPLITUDES[0], 1024),
+        (ModelParams.pseudoharmonic(0.7), -1.1 + 0.2j, 1024),
+    ], ids=["tpt-128", "ph-128", "harmonic-128", "tpt-512", "ph-512", "tpt-1024", "ph-1024"])
+    def test_padded_state_matches_the_full_build(self, p, alpha, cutoff, monkeypatch):
+        f = deformation_for(p)
+        assert coherent._direct_levels(f, abs(alpha), cutoff) < cutoff
+        padded = displacement_state_direct(f, alpha, cutoff)
+        monkeypatch.setattr(coherent, "_direct_levels", lambda f, radius, n: n)
+        full = displacement_state_direct(f, alpha, cutoff)
+        assert np.max(np.abs(padded.state.coeffs - full.state.coeffs)) <= 1e-13
+        assert padded.tail_mass == full.tail_mass
+
+    def test_exponentiates_only_the_certified_levels(self, monkeypatch):
+        seen = []
+
+        def spy(m):
+            seen.append(m.entries.shape)
+            return matrix_exponential(m)
+
+        monkeypatch.setattr(coherent, "matrix_exponential", spy)
+        res = displacement_state_direct(TPT2, 1.0, 1024)
+        assert seen == [(64, 64)]
+        assert res.state.cutoff == 1024 and not np.any(res.state.coeffs[64:])
+        closed = _closed_form_displacement(TPT2, 1.0, 1024).state.coeffs
+        assert np.max(np.abs(res.state.coeffs - closed)) <= 1e-13
+
+    def test_levels_stay_within_the_cutoff(self):
+        assert coherent._direct_levels(TPT2, 0.0, 1024) == 16
+        assert coherent._direct_levels(TPT2, 0.5, 8) == 8
+        assert coherent._direct_levels(TPT2, 4.0, 100) == 100
+
+    def test_saturated_amplitude_does_not_warn(self):
+        # tanh(|alpha|/sqrt(d)) rounds to 1: the tail is 1 and the bound huge
+        for f in (TPT2, pseudoharmonic_deformation(1.0), harmonic_deformation()):
+            tail, bound = coherent._direct_certificate(f, 60.0, 128)
+            assert tail == pytest.approx(1.0) and bound > 1.0
 
 
 class TestCompareStates:
