@@ -346,8 +346,8 @@ _ROUTES = {
 }
 
 
-# Highest cutoff the direct route grows to: past it the dense exponential costs
-# more than a run should
+# Highest cutoff the direct route grows to; a higher one trades run time for
+# fewer exit-3 runs
 _DIRECT_MAX_CUTOFF = 256
 
 

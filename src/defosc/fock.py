@@ -7,8 +7,9 @@ construction route returns.  A ladder operator is stored as its single
 off-diagonal, the amplitude vector amp[n-1] = sqrt(n f^2(n)), and a
 deformed Hamiltonian as its diagonal.  The one dense matrix kept is
 :class:`OperatorMatrix`, for the :func:`matrix_exponential` of the direct
-displacement route; it keeps the real or complex dtype it is given, so the
-real skew generator of that route is exponentiated in real arithmetic.
+displacement route on up to 128 levels; it keeps the real or complex dtype
+it is given, so the real skew generator of that route is exponentiated in
+real arithmetic.
 
 Truncation policy: identities that involve a product of a raising and a
 lowering step fail on the last basis index because the coupling to level N

@@ -508,7 +508,9 @@ class TestDirectRouteCertificate:
         f = deformation_for(p)
         assert coherent._direct_levels(f, abs(alpha), cutoff) < cutoff
         padded = displacement_state_direct(f, alpha, cutoff)
+        # the reference is the dense exponential on every level of the cutoff
         monkeypatch.setattr(coherent, "_direct_levels", lambda f, radius, n: n)
+        monkeypatch.setattr(coherent, "_DIRECT_DENSE_LEVELS", cutoff)
         full = displacement_state_direct(f, alpha, cutoff)
         assert np.max(np.abs(padded.state.coeffs - full.state.coeffs)) <= 1e-13
         assert padded.tail_mass == full.tail_mass
@@ -526,6 +528,32 @@ class TestDirectRouteCertificate:
         assert res.state.cutoff == 1024 and not np.any(res.state.coeffs[64:])
         closed = _closed_form_displacement(TPT2, 1.0, 1024).state.coeffs
         assert np.max(np.abs(res.state.coeffs - closed)) <= 1e-13
+
+    @pytest.mark.parametrize("p, alpha, cutoff", [
+        (ModelParams.pseudoharmonic(2.63), 1.102j, 512),
+        (ModelParams.pseudoharmonic(1.46), -1.481 + 0.1j, 1024),
+        (ModelParams.tpt(6.83), 3.0 - 1.2j, 512),
+    ], ids=["ph-256-levels", "ph-512-levels", "tpt-256-levels"])
+    def test_eigendecomposition_past_the_dense_levels(self, p, alpha, cutoff, monkeypatch):
+        f = deformation_for(p)
+        m = coherent._direct_levels(f, abs(alpha), cutoff)
+        assert coherent._DIRECT_DENSE_LEVELS < m < cutoff
+        seen = []
+
+        def spy(gen):
+            seen.append(gen.entries.shape)
+            return matrix_exponential(gen)
+
+        monkeypatch.setattr(coherent, "matrix_exponential", spy)
+        res = displacement_state_direct(f, alpha, cutoff)
+        assert seen == []
+        closed = _closed_form_displacement(f, alpha, cutoff).state.coeffs
+        assert np.max(np.abs(res.state.coeffs - closed)) <= 1e-13
+        monkeypatch.setattr(coherent, "_DIRECT_DENSE_LEVELS", m)
+        dense = displacement_state_direct(f, alpha, cutoff)
+        assert seen == [(m, m)]
+        assert np.max(np.abs(res.state.coeffs - dense.state.coeffs)) <= 1e-13
+        assert res.tail_mass == dense.tail_mass
 
     def test_levels_stay_within_the_cutoff(self):
         assert coherent._direct_levels(TPT2, 0.0, 1024) == 16
