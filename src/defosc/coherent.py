@@ -148,6 +148,12 @@ def _amplitude(alpha) -> complex:
     return alpha
 
 
+def _phase(z: complex) -> float:
+    # cmath.phase's value, but an underflowing atan2 (alpha 1e300+1e-300i)
+    # gives 0 instead of raising OverflowError
+    return math.atan2(z.imag, z.real)
+
+
 def _coefficients_from_log(logmag: np.ndarray, phase_step: float) -> tuple[np.ndarray, float]:
     """Rescale log-magnitude coefficients; returns (normalized coeffs, log of 1/norm of the raw family)."""
     shift = float(np.max(logmag))
@@ -176,7 +182,7 @@ def annihilation_eigenstate(f: DeformationFunction, alpha: complex, cutoff: int)
     n = np.arange(1, cutoff, dtype=float)
     steps = math.log(abs(alpha)) - 0.5 * np.log(n * f.fsq(n))
     logmag = np.concatenate(([0.0], np.cumsum(steps)))
-    coeffs, log_nf = _coefficients_from_log(logmag, cmath.phase(alpha))
+    coeffs, log_nf = _coefficients_from_log(logmag, _phase(alpha))
     return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
                                math.exp(log_nf), float(abs(coeffs[-1]) ** 2), f.params)
 
@@ -201,7 +207,7 @@ def closed_form_bg_coefficients(f: DeformationFunction, alpha: complex, cutoff: 
         n = np.arange(cutoff, dtype=float)
         half_log = n * math.log(d) + gammaln(1.0 + c) - gammaln(n + 1.0) - gammaln(n + 1.0 + c)
         logmag = n * math.log(abs(alpha)) + 0.5 * half_log
-        coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
+        coeffs, _ = _coefficients_from_log(logmag, _phase(alpha))
     # the raw family has c_0 = 1, so the normalized c_0 is 1/||raw||
     return CoherentStateResult(FockVector(coeffs), Method.ANNIHILATION_EIGENSTATE, alpha,
                                float(abs(coeffs[0])), float(abs(coeffs[-1]) ** 2), f.params)
@@ -261,7 +267,7 @@ def displacement_state_closed_form(f: DeformationFunction, zeta: complex, cutoff
     finite = float(np.sum(mags**2))
     tail = max(0.0, 1.0 - finite)
     n = np.arange(cutoff)
-    raw = mags * np.exp(1j * cmath.phase(zeta) * n)
+    raw = mags * np.exp(1j * _phase(zeta) * n)
     state = FockVector(raw / math.sqrt(finite))
     c0 = (1.0 - abs(zeta) ** 2) ** (r / 2.0)
     return CoherentStateResult(state, Method.DISPLACEMENT_CLOSED_FORM, zeta, c0, tail, f.params)
@@ -425,7 +431,7 @@ def displacement_state_direct(f: DeformationFunction, alpha: complex, cutoff: in
     else:
         column = _skew_exponential_vacuum(sub)
     image = np.zeros(cutoff, dtype=complex)
-    image[:m] = np.exp(1j * cmath.phase(alpha) * np.arange(m)) * column
+    image[:m] = np.exp(1j * _phase(alpha) * np.arange(m)) * column
     return _renormalized_image(image, Method.DISPLACEMENT_DIRECT, alpha, f,
                                _direct_tail_mass(f, abs(alpha), cutoff))
 
@@ -477,7 +483,7 @@ def compare_states(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     u, v = _unit_state(u, "compare_states"), _unit_state(v, "compare_states")
     i = int(np.argmax(np.abs(u)))
     if abs(v[i]) > 0:
-        rot = cmath.exp(1j * (cmath.phase(u[i]) - cmath.phase(v[i])))
+        rot = cmath.exp(1j * (_phase(u[i]) - _phase(v[i])))
     else:
         rot = 1.0
     diff = float(np.max(np.abs(u - v * rot)))
@@ -513,7 +519,7 @@ def glauber_coefficients(alpha: complex, cutoff: int) -> np.ndarray:
         return _vacuum(cutoff)
     n = np.arange(cutoff, dtype=float)
     logmag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-    coeffs, _ = _coefficients_from_log(logmag, cmath.phase(alpha))
+    coeffs, _ = _coefficients_from_log(logmag, _phase(alpha))
     return coeffs
 
 

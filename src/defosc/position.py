@@ -40,7 +40,10 @@ points where eigenfunctions are sampled.  Those nodes come from Newton's
 method on P_n, with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), started from
 Tricomi's asymptotic nodes (Hale and Townsend, SIAM J. Sci. Comput. 35,
 2013): O(n^2) work in place of the O(n^3) dense eigensolve of NumPy's
-``leggauss``, whose nodes it matches to 1 ulp.
+``leggauss``, whose nodes it matches to 1 ulp.  They depend on the order
+alone, so the nodes of the last 16 orders are cached, as read-only arrays.
+:func:`coherent_wavefunction` evaluates the family only up to the last
+nonzero coefficient of its state.
 
 The differential ladder operators map psi_n = psi_0 q_n to psi_0 times a
 polynomial of degree n+1 in q_n and q_n', so every matrix element
@@ -51,6 +54,7 @@ included, with q_n' carried by differentiating the level recurrence.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,6 +79,9 @@ _NO_FAMILY = "coordinate-space families exist for the TPT and pseudoharmonic mod
 # from Tricomi's nodes it takes about three steps
 _NEWTON_STOP = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 20
+# Orders whose Legendre nodes stay cached: at most 16 x 64 KiB at the
+# 8192-node cap of cli.MAX_GRID_NODES
+_NODE_CACHE_ORDERS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +198,15 @@ def _family(p: ModelParams):
 # Sample points and Gauss rules
 
 
+@functools.lru_cache(maxsize=_NODE_CACHE_ORDERS)
 def _legendre_nodes(n: int) -> np.ndarray:
-    """The n roots of P_n in increasing order, by Newton's method.
+    """The n roots of P_n in increasing order, by Newton's method; read-only.
 
     Tricomi's initial nodes on the positive half,
     (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k-1)/(4n+2)), are corrected until
     the largest step is a few ulp; the half is then mirrored, with 0 in the
-    middle for odd n.
+    middle for odd n.  The nodes depend on n alone, so they are cached by
+    order and returned read-only.
     """
     k = np.arange(1, n // 2 + 1)
     x = (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n ** 3)) * np.cos(
@@ -211,7 +220,9 @@ def _legendre_nodes(n: int) -> np.ndarray:
     else:
         raise QuadratureError(f"Newton's method found no {n}-node Gauss-Legendre rule")
     middle = [0.0] if n % 2 else []
-    return np.concatenate([-x, middle, x[::-1]])
+    nodes = np.concatenate([-x, middle, x[::-1]])
+    nodes.flags.writeable = False
+    return nodes
 
 
 def sample_points(p: ModelParams, order: int, n_max: int) -> np.ndarray:
@@ -327,14 +338,18 @@ def ladder_matrix(p: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def coherent_wavefunction(c: np.ndarray, x, p: ModelParams) -> np.ndarray:
     """Coordinate-space synthesis sum_n c_n psi_n of the coefficient array c
-    at the points x, real if its imaginary part vanishes."""
+    at the points x, real if its imaginary part vanishes.
+
+    Only the levels up to the last nonzero c_n are evaluated; the levels
+    past it would add exact zeros."""
     c = np.asarray(c, dtype=complex)
     norm = float(np.linalg.norm(c))
     if c.ndim != 1 or not abs(norm - 1.0) <= 1e-9:
         raise DomainError(f"coherent_wavefunction expects a normalized 1-D state; norm = {norm!r}")
-    psi = _family(p)(c.size - 1, x, p)
+    m = int(np.flatnonzero(c)[-1]) + 1
+    psi = _family(p)(m - 1, x, p)
     # two real products; ``c @ psi`` would first copy psi to complex
-    values = c.real @ psi + 1j * (c.imag @ psi)
+    values = c.real[:m] @ psi + 1j * (c.imag[:m] @ psi)
     return values if np.any(values.imag) else values.real
 
 

@@ -101,6 +101,12 @@ _EDGE = (
     ("edge-pseudoharmonic-coherent-displacement-direct-s400", "coherent",
      {"model": "pseudoharmonic", "s": 400.0, "alpha_re": 1.4, "method": "displacement-direct"}, {}),
     ("edge-tpt-displacement-check-cutoff1024", "displacement-check", {"cutoff": 1024}, {}),
+    ("edge-tpt-wavefunction-cutoff1024-nodes2048", "wavefunction",
+     {"cutoff": 1024, "grid_nodes": 2048}, {}),
+    ("edge-pseudoharmonic-wavefunction-cutoff1024-nodes2048", "wavefunction",
+     {"model": "pseudoharmonic", "cutoff": 1024, "grid_nodes": 2048}, {}),
+    ("edge-tpt-compare-alpha1e300-phase-underflow", "compare",
+     {"alpha_re": 1e300, "alpha_im": 1e-300}, {}),
 )
 
 RUNS = _default_runs() + [

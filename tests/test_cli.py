@@ -204,25 +204,38 @@ class TestChecksAndStatuses:
         assert main(["displacement-check", "--out", str(tmp_path / "r")]) == EXIT_OK
 
     def test_truncation_exit_status(self, tmp_path, capsys):
+        # the direct route grows on its certificate to at most 512 levels,
+        # where the exact tail at alpha 5 is still 5.4e-4
         code = main(["coherent", "--param", 'method="displacement-direct"',
-                     "--param", "cutoff=16", "--param", "alpha_re=3.0",
+                     "--param", "cutoff=16", "--param", "alpha_re=5.0",
                      "--out", str(tmp_path / "r")])
         assert code == EXIT_TRUNCATION
         assert "truncation error" in capsys.readouterr().err
         # a tail_tol below 1e-12 is applied as given.  The factored route (two
-        # vector series) grows up to DEFOSC_MAX_CUTOFF; the direct route (a
-        # dense exponential) grows on its certificate to at most 256, where
-        # the exact tail at alpha 4 is still 8.4e-6
+        # vector series) grows up to DEFOSC_MAX_CUTOFF; the direct route stops
+        # at 512, where the exact tail at alpha 4 is still 4.4e-13
         argv = ["--param", "cutoff=64", "--param", "alpha_re=4.0", "--param", "tail_tol=1e-14"]
         code = main(["coherent", "--param", 'method="displacement-direct"', *argv,
                      "--out", str(tmp_path / "direct")])
         assert code == EXIT_TRUNCATION
-        assert "at cutoff 256" in capsys.readouterr().err
+        assert "at cutoff 512" in capsys.readouterr().err
         out = str(tmp_path / "factored")
         assert main(["coherent", "--param", 'method="displacement-factored"', *argv,
                      "--out", out]) == EXIT_OK
         report = json.loads(read(os.path.join(out, "report.json")))
         assert report["cutoff_used"] == 1024 and report["tail_mass"] <= 1e-14
+
+    @pytest.mark.parametrize("task, method", [("compare", "annihilation"), ("coherent", "annihilation"),
+                                              ("coherent", "annihilation-closed-form"),
+                                              ("wavefunction", "annihilation")])
+    def test_phase_underflow_is_truncation(self, tmp_path, capsys, task, method):
+        # the phase of 1e300+1e-300i underflows; cmath.phase raised
+        # OverflowError there, a traceback and exit 1.  pytest turns any
+        # RuntimeWarning into an error, so none is emitted either
+        code = main([task, "--param", f'method="{method}"', "--param", "alpha_re=1e300",
+                     "--param", "alpha_im=1e-300", "--out", str(tmp_path / "r")])
+        assert code == EXIT_TRUNCATION
+        assert "truncation error" in capsys.readouterr().err
 
     def test_domain_exit_status(self, tmp_path, capsys):
         # the harmonic reference has no su(1,1) structure and no coordinate
@@ -347,7 +360,7 @@ class TestOtherTasks:
             assert [c["parameters"]["cutoff"] for c in report["checks"]] == [256, 256]
             assert all(c["max_deviation"] < 1e-12 for c in report["checks"])
             assert len(read(os.path.join(out, "displacement-check.csv")).splitlines()) == 1 + 256
-        # the growth stops at min(256, DEFOSC_MAX_CUTOFF), from any given cutoff
+        # the growth stops at min(512, DEFOSC_MAX_CUTOFF), from any given cutoff
         monkeypatch.setenv(coherent.MAX_CUTOFF_ENV, "128")
         for cutoff in (128, 64):
             assert main(argv + ["--param", f"cutoff={cutoff}",

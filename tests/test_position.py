@@ -25,6 +25,7 @@ from defosc import (
     tpt_eigenfunctions,
     tpt_ground,
 )
+from defosc import position
 from defosc.cli import main
 from defosc.position import _legendre_nodes
 
@@ -383,6 +384,43 @@ class TestCoherentWavefunction:
         with pytest.raises(DomainError):
             coherent_wavefunction(np.ones(4, dtype=complex), sample_points(p, 64, 3), p)
 
+    @staticmethod
+    def _all_levels(c, x, p):
+        # the synthesis on every level of c, trailing zero coefficients included
+        psi = position._family(p)(c.size - 1, x, p)
+        values = c.real @ psi + 1j * (c.imag @ psi)
+        return values if np.any(values.imag) else values.real
+
+    @pytest.mark.parametrize("p", [ModelParams.tpt(2.0, 1.0), ModelParams.pseudoharmonic(1.5)],
+                             ids=["tpt", "pseudoharmonic"])
+    def test_trailing_zeros_change_no_byte(self, p):
+        states = [np.eye(8)[n] for n in range(8)]
+        # the weights of a cutoff-1024 state underflow to exact zeros long before level 1024
+        big = annihilation_eigenstate(deformation_for(p), 1.2 + 0.3j, 1024).state.coeffs
+        assert int(np.flatnonzero(big)[-1]) < 512
+        for c in [*states, big]:
+            c = np.asarray(c, dtype=complex)
+            for order in (255, 1024):
+                x = sample_points(p, order, 0)
+                got = coherent_wavefunction(c, x, p)
+                want = self._all_levels(c, x, p)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_family_evaluated_up_to_last_nonzero_level(self, monkeypatch):
+        p = ModelParams.tpt(2.0, 1.0)
+        levels = []
+        family = position.tpt_eigenfunctions
+
+        def spy(n_max, u, params):
+            levels.append(n_max + 1)
+            return family(n_max, u, params)
+
+        monkeypatch.setattr(position, "tpt_eigenfunctions", spy)
+        c = np.zeros(64, dtype=complex)
+        c[[0, 5]] = (0.6, 0.8j)
+        coherent_wavefunction(c, sample_points(p, 32, 5), p)
+        assert levels == [6]
+
 
 class TestSamplePoints:
     def test_tpt_points_fill_the_open_well(self):
@@ -403,6 +441,18 @@ class TestSamplePoints:
             assert np.max(np.abs(t - reference)) <= 2.2e-16, order
             assert np.all(np.diff(t) > 0) and np.array_equal(t, -t[::-1]), order
         assert _legendre_nodes(3)[1] == 0.0
+
+    def test_legendre_nodes_cached_read_only(self):
+        t = _legendre_nodes(96)
+        assert _legendre_nodes(96) is t
+        with pytest.raises(ValueError):
+            t[0] = 0.0
+
+    @pytest.mark.parametrize("p", [ModelParams.tpt(2.0, 1.0), ModelParams.pseudoharmonic(1.0)],
+                             ids=["tpt", "pseudoharmonic"])
+    def test_sample_points_do_not_alias_the_cache(self, p):
+        x = sample_points(p, 96, 4)
+        assert x.flags.writeable and not np.shares_memory(x, _legendre_nodes(96))
 
     def test_domain(self):
         with pytest.raises(DomainError):
